@@ -17,7 +17,9 @@
 val normalize : Topology.Graph.t -> p:int -> int list -> int list
 (** Keep the first occurrence of each member of [N_p ∪ {p}], drop
     everything else, then append missing members in ascending order. The
-    result is always a permutation of [N_p ∪ {p}]. *)
+    result is always a permutation of [N_p ∪ {p}]. A queue that already
+    is one (the common case: {!serve} preserves the property) is returned
+    physically unchanged, without allocating. *)
 
 val is_well_formed : Topology.Graph.t -> p:int -> int list -> bool
 (** True when the list already is such a permutation. *)

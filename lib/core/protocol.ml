@@ -65,28 +65,31 @@ let next_hop net q ~d = Routing.Selfstab.next_hop (routing_of net q) ~d
 (* --- choice_p(d) ----------------------------------------------------- *)
 
 let can_feed g net ~p ~d s =
-  if s = p then
-    let sp = read net p in
-    sp.State.request && State.next_destination sp = Some d
+  if s = p then State.requests (read net p) ~d
   else
     match buf_e_seen g net ~p s d with
     | Some _ -> next_hop net s ~d = p
     | None -> false
 
-let normalized_queue g net ~p ~d =
-  Choice.normalize g ~p (slot_of net p d).State.queue
+let rec first_feeder g net ~p ~d = function
+  | [] -> -1
+  | s :: rest -> if can_feed g net ~p ~d s then s else first_feeder g net ~p ~d rest
+
+(* choice_p(d) as a processor id, -1 when no candidate. The normalized
+   queue holds only members of N_p ∪ {p}. *)
+let choice_id g net ~p ~d =
+  first_feeder g net ~p ~d (Choice.normalize g ~p (slot_of net p d).State.queue)
 
 let choice g net ~p ~d =
-  Choice.select ~candidate:(can_feed g net ~p ~d) (normalized_queue g net ~p ~d)
+  let s = choice_id g net ~p ~d in
+  if s < 0 then None else Some s
 
 (* --- guards ----------------------------------------------------------- *)
 
-let guard_r1 g net ~p ~d =
+(* R1 and R3 take [ch] = choice_p(d), computed once for both. *)
+let guard_r1 net ~p ~d ~ch =
   let sp = read net p in
-  sp.State.request
-  && State.next_destination sp = Some d
-  && (State.slot sp d).State.buf_r = None
-  && choice g net ~p ~d = Some p
+  State.requests sp ~d && Option.is_none (State.slot sp d).State.buf_r && ch = p
 
 let guard_r2 g net ~p ~d =
   let sl = slot_of net p d in
@@ -101,13 +104,21 @@ let guard_r2 g net ~p ~d =
       | None -> true)
   | _ -> false
 
-let guard_r3 g net ~p ~d =
-  (slot_of net p d).State.buf_r = None
-  &&
-  match choice g net ~p ~d with
-  | Some s when s <> p -> (
-      match buf_e_seen g net ~p s d with Some _ -> true | None -> false)
-  | Some _ | None -> false
+let guard_r3 g net ~p ~d ~ch =
+  Option.is_none (slot_of net p d).State.buf_r
+  && ch >= 0 && ch <> p
+  && Option.is_some (buf_e_seen g net ~p ch d)
+
+(* The buffer holds (m, p, c): a copy of [m] that p forwarded. *)
+let is_copy_of (m : Message.t) ~p = function
+  | Some (m' : Message.t) -> m'.info = m.info && m'.last = p && m'.color = m.color
+  | None -> false
+
+let rec no_stray_copy g net ~p ~d ~h m = function
+  | [] -> true
+  | r :: rest ->
+      (r = h || not (is_copy_of m ~p (buf_r_seen g net ~p r d)))
+      && no_stray_copy g net ~p ~d ~h m rest
 
 let guard_r4 g net ~p ~d =
   p <> d
@@ -116,16 +127,9 @@ let guard_r4 g net ~p ~d =
   | None -> false
   | Some m ->
       let h = next_hop net p ~d in
-      let is_copy = function
-        | Some (m' : Message.t) ->
-            m'.info = m.Message.info && m'.last = p && m'.color = m.Message.color
-        | None -> false
-      in
       readable g ~p h
-      && is_copy (buf_r_seen g net ~p h d)
-      && List.for_all
-           (fun r -> r = h || not (is_copy (buf_r_seen g net ~p r d)))
-           (Topology.Graph.neighbors g p)
+      && is_copy_of m ~p (buf_r_seen g net ~p h d)
+      && no_stray_copy g net ~p ~d ~h m (Topology.Graph.neighbors g p)
 
 (* R5 requires q <> p: a message whose [last] field is [p] itself was
    generated at [p] by R1 (rule R3 always stamps the feeding neighbor), so
@@ -146,7 +150,7 @@ let guard_r5 ~literal g net ~p ~d =
           && next_hop net q ~d <> p
       | None -> false)
 
-let guard_r6 net ~p ~d = d = p && (slot_of net p d).State.buf_e <> None
+let guard_r6 net ~p ~d = d = p && Option.is_some (slot_of net p d).State.buf_e
 
 (* --- actions ----------------------------------------------------------- *)
 
@@ -210,20 +214,49 @@ let apply_r6 net p =
 
 (* --- enabled actions, in offer order ----------------------------------- *)
 
-let rotated n rr =
-  (* destinations rr, rr+1, ..., n-1, 0, ..., rr-1 *)
-  List.init n (fun i -> (rr + i) mod n)
+let rec neighbor_emits net ~d = function
+  | [] -> false
+  | s :: rest -> Option.is_some (slot_of net s d).State.buf_e || neighbor_emits net ~d rest
 
-let ssmfp_rules_for g ~variant net ~p ~d =
-  let add rule guard acc = if guard then { rule; dest = d } :: acc else acc in
-  List.rev
-    ([]
-    |> add R6 (guard_r6 net ~p ~d)
-    |> add R4 (guard_r4 g net ~p ~d)
-    |> add R5 (variant.use_r5 && guard_r5 ~literal:variant.literal_r5 g net ~p ~d)
-    |> add R2 (guard_r2 g net ~p ~d)
-    |> add R3 (guard_r3 g net ~p ~d)
-    |> add R1 (guard_r1 g net ~p ~d))
+(* Destination d is live at p when p holds a message for d, R1 targets d,
+   or a neighbor's emission buffer for d is occupied. No rule is enabled
+   for any other destination (DESIGN.md §5, liveness lemma): R2 and R5
+   need bufR_p(d), R4 and R6 need bufE_p(d), R1 needs the request, and
+   R3 needs bufE_s(d) occupied at s = choice_p(d), a neighbor. *)
+let live g net ~p ~d =
+  let sp = read net p in
+  let sl = State.slot sp d in
+  Option.is_some sl.State.buf_r
+  || Option.is_some sl.State.buf_e
+  || State.requests sp ~d
+  || neighbor_emits net ~d (Topology.Graph.neighbors g p)
+
+let add rule d guard acc = if guard then { rule; dest = d } :: acc else acc
+
+(* Prepend d's enabled actions to [acc], in the order R6, R4, R5, R2, R3,
+   R1. *)
+let add_rules g ~variant net ~p ~d acc =
+  if not (live g net ~p ~d) then acc
+  else
+    let ch =
+      if Option.is_none (slot_of net p d).State.buf_r then choice_id g net ~p ~d
+      else -1
+    in
+    acc
+    |> add R1 d (guard_r1 net ~p ~d ~ch)
+    |> add R3 d (guard_r3 g net ~p ~d ~ch)
+    |> add R2 d (guard_r2 g net ~p ~d)
+    |> add R5 d (variant.use_r5 && guard_r5 ~literal:variant.literal_r5 g net ~p ~d)
+    |> add R4 d (guard_r4 g net ~p ~d)
+    |> add R6 d (guard_r6 net ~p ~d)
+
+(* Destinations rr, rr+1, ..., n-1, 0, ..., rr-1, walked from the back so
+   the list comes out in offer order. *)
+let rec ssmfp_actions g ~variant net ~p ~n ~rr i acc =
+  if i < 0 then acc
+  else
+    ssmfp_actions g ~variant net ~p ~n ~rr (i - 1)
+      (add_rules g ~variant net ~p ~d:((rr + i) mod n) acc)
 
 let rr_of g net p =
   let n = Topology.Graph.n g in
@@ -233,22 +266,18 @@ let rr_of g net p =
 let enabled_rules g ?(variant = faithful) ?(run_routing = true)
     ?(tie = Routing.Selfstab.Smallest_id) net ~p =
   let n = Topology.Graph.n g in
-  let order = rotated n (rr_of g net p) in
-  let routing_actions =
-    if not run_routing then []
-    else
-      let dests =
-        Routing.Selfstab.enabled_dests ~tie g ~read:(routing_of net) ~p
-      in
-      if dests = [] then []
-      else
-        List.filter_map
-          (fun d -> if List.mem d dests then Some { rule = Route; dest = d } else None)
-          order
+  let rr = rr_of g net p in
+  let dests =
+    if run_routing then
+      Routing.Selfstab.enabled_dests ~tie g ~read:(routing_of net) ~p
+    else []
   in
-  if routing_actions <> [] then routing_actions
-  else
-    List.concat_map (fun d -> ssmfp_rules_for g ~variant net ~p ~d) order
+  match dests with
+  | [] -> ssmfp_actions g ~variant net ~p ~n ~rr (n - 1) []
+  | _ ->
+      (* ascending [dests] in rotated order: entries >= rr, then < rr *)
+      let below, from_rr = List.partition (fun d -> d < rr) dests in
+      List.map (fun d -> { rule = Route; dest = d }) (from_rr @ below)
 
 let apply_action g ~variant ~tie ~delta net p { rule; dest = d } =
   let n = Topology.Graph.n g in

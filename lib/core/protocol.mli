@@ -111,7 +111,10 @@ val enabled_rules :
   State.t Sim.Engine.net ->
   p:int ->
   action list
-(** All enabled actions at [p] in offer order (same as the protocol). *)
+(** All enabled actions at [p] in offer order (same as the protocol).
+    SSMFP's guards are evaluated only at destinations where one can hold
+    (DESIGN.md §5, liveness lemma); the list equals evaluating every
+    destination. *)
 
 val message_count : State.t Sim.Engine.net -> int
 (** Number of occupied buffers in the configuration. *)

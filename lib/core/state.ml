@@ -39,8 +39,8 @@ let with_slot t d s =
 let with_routing t routing = { t with routing }
 let with_rr t rr = { t with rr }
 
-let next_destination t =
-  match t.outbox with [] -> None | (d, _) :: _ -> Some d
+let requests t ~d =
+  t.request && match t.outbox with (d', _) :: _ -> d' = d | [] -> false
 
 let next_message t =
   match t.outbox with [] -> None | (_, info) :: _ -> Some info

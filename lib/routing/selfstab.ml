@@ -8,23 +8,33 @@ let equal_entry a b = a.dist = b.dist && a.via = b.via
 let pp_entry fmt e = Format.fprintf fmt "{d=%d via=%d}" e.dist e.via
 
 (* The canonical tree for a tie-break: among the neighbors strictly
-   closer to d, the smallest or largest id. *)
-let canonical_via ?(tie = Smallest_id) g ~dist_to_d p =
-  let closer q = dist_to_d.(q) = dist_to_d.(p) - 1 in
-  match List.filter closer (Topology.Graph.neighbors g p) with
+   closer to d (ascending ids [closer]), the smallest or largest id. *)
+let canonical_via ~tie = function
   | [] -> invalid_arg "Selfstab.canonical_via: disconnected graph"
-  | q :: _ as qs -> (
+  | q :: _ as closer -> (
       match tie with
       | Smallest_id -> q
-      | Largest_id -> List.fold_left max q qs)
+      | Largest_id -> List.fold_left max q closer)
 
+(* The graph is undirected, so a neighbor q's distance to d is read off a
+   BFS started at q: deg p + 1 searches build p's table. *)
 let init_correct ?(tie = Smallest_id) g p =
   let n = Topology.Graph.n g in
-  let dist_to = Array.init n (fun d -> Topology.Metrics.bfs_distances g d) in
   let dist_from = Topology.Metrics.bfs_distances g p in
+  let from_neighbor =
+    List.map
+      (fun q -> (q, Topology.Metrics.bfs_distances g q))
+      (Topology.Graph.neighbors g p)
+  in
   Array.init n (fun d ->
       if d = p then { dist = 0; via = p }
-      else { dist = dist_from.(d); via = canonical_via ~tie g ~dist_to_d:dist_to.(d) p })
+      else
+        let closer =
+          List.filter_map
+            (fun (q, dq) -> if dq.(d) = dist_from.(d) - 1 then Some q else None)
+            from_neighbor
+        in
+        { dist = dist_from.(d); via = canonical_via ~tie closer })
 
 let init_correct_all ?(tie = Smallest_id) g =
   let n = Topology.Graph.n g in
@@ -33,10 +43,12 @@ let init_correct_all ?(tie = Smallest_id) g =
       Array.init n (fun d ->
           if d = p then { dist = 0; via = p }
           else
-            {
-              dist = dist_to.(p).(d);
-              via = canonical_via ~tie g ~dist_to_d:dist_to.(d) p;
-            }))
+            let closer =
+              List.filter
+                (fun q -> dist_to.(d).(q) = dist_to.(d).(p) - 1)
+                (Topology.Graph.neighbors g p)
+            in
+            { dist = dist_to.(p).(d); via = canonical_via ~tie closer }))
 
 let init_random rng g p =
   let n = Topology.Graph.n g in
@@ -52,37 +64,55 @@ let init_worst g p =
   in
   Array.init n (fun _ -> { dist = 0; via = largest_neighbor })
 
-let target ?(tie = Smallest_id) g ~read ~p ~d =
-  if p = d then { dist = 0; via = p }
-  else begin
-    let n = Topology.Graph.n g in
-    (* Neighbors are visited in increasing id order; keeping the first
-       minimum gives the smallest-id tie-break, keeping the last gives the
-       largest-id one. *)
-    let best (bd, bv) q =
+(* The neighbor of p whose [dist] to d wins under [tie], or -1 when p
+   has none. Neighbors are visited in increasing id order: keeping the
+   first minimum gives the smallest-id tie-break, keeping the last gives
+   the largest-id one. Direct recursion and no tuples, so guard
+   evaluation allocates nothing here. *)
+let rec best_via ~tie ~read ~d bd bv = function
+  | [] -> bv
+  | q :: rest ->
       let qd = (read q).(d).dist in
       let wins = match tie with Smallest_id -> qd < bd | Largest_id -> qd <= bd in
-      if wins then (qd, q) else (bd, bv)
-    in
-    let bd, bv =
-      List.fold_left best (max_int, -1) (Topology.Graph.neighbors g p)
-    in
-    if bd >= n then { dist = n; via = bv } else { dist = bd + 1; via = bv }
-  end
+      if wins then best_via ~tie ~read ~d qd q rest
+      else best_via ~tie ~read ~d bd bv rest
+
+(* The target [dist] at (p, d) when [bv] is the winning neighbor. *)
+let target_dist g ~read ~d bv =
+  let n = Topology.Graph.n g in
+  if bv < 0 then n
+  else
+    let bd = (read bv).(d).dist in
+    if bd >= n then n else bd + 1
+
+let target ?(tie = Smallest_id) g ~read ~p ~d =
+  if p = d then { dist = 0; via = p }
+  else
+    let bv = best_via ~tie ~read ~d max_int (-1) (Topology.Graph.neighbors g p) in
+    { dist = target_dist g ~read ~d bv; via = bv }
+
+(* Entry [e] at (p, d) equals its target: the rule is disabled there.
+   The one stability check behind {!enabled_dests}, {!is_silent} and
+   {!stabilize}. *)
+let stable ~tie g ~read ~p ~d e =
+  if p = d then e.dist = 0 && e.via = p
+  else
+    let bv = best_via ~tie ~read ~d max_int (-1) (Topology.Graph.neighbors g p) in
+    e.via = bv && e.dist = target_dist g ~read ~d bv
+
+let rec unstable_from ~tie g ~read ~p table d acc =
+  if d < 0 then acc
+  else
+    unstable_from ~tie g ~read ~p table (d - 1)
+      (if stable ~tie g ~read ~p ~d table.(d) then acc else d :: acc)
 
 let enabled_dests ?(tie = Smallest_id) g ~read ~p =
-  let table = read p in
-  let n = Topology.Graph.n g in
-  let rec loop d acc =
-    if d < 0 then acc
-    else
-      let acc =
-        if equal_entry table.(d) (target ~tie g ~read ~p ~d) then acc
-        else d :: acc
-      in
-      loop (d - 1) acc
-  in
-  loop (n - 1) []
+  unstable_from ~tie g ~read ~p (read p) (Topology.Graph.n g - 1) []
+
+let rec all_stable_from ~tie g ~read ~p table d =
+  d < 0
+  || (stable ~tie g ~read ~p ~d table.(d)
+     && all_stable_from ~tie g ~read ~p table (d - 1))
 
 let apply ?(tie = Smallest_id) g ~read ~p ~d =
   let table = Array.copy (read p) in
@@ -94,7 +124,8 @@ let next_hop state ~d = state.(d).via
 let is_silent ?(tie = Smallest_id) g read =
   let n = Topology.Graph.n g in
   let rec loop p =
-    p >= n || (enabled_dests ~tie g ~read ~p = [] && loop (p + 1))
+    p >= n
+    || (all_stable_from ~tie g ~read ~p (read p) (n - 1) && loop (p + 1))
   in
   loop 0
 

@@ -43,12 +43,13 @@ val pp_entry : Format.formatter -> entry -> unit
 
 val init_correct : ?tie:tie -> Topology.Graph.t -> int -> state
 (** [init_correct g p] is [p]'s stabilized table (the fixpoint for the
-    given tie-break). *)
+    given tie-break), from [deg p + 1] BFS runs: one from [p] and one from
+    each neighbor. *)
 
 val init_correct_all : ?tie:tie -> Topology.Graph.t -> state array
 (** Every processor's {!init_correct} table, sharing one BFS sweep per
     destination across processors — [O(n(n+m))] where [n] separate
-    {!init_correct} calls cost [O(n^2(n+m))]. Entry-for-entry equal to
+    {!init_correct} calls cost [O((n+m)^2)]. Entry-for-entry equal to
     [Array.init n (init_correct g)]. *)
 
 val init_random : Prng.Splitmix.t -> Topology.Graph.t -> int -> state
@@ -69,7 +70,9 @@ val target :
 
 val enabled_dests :
   ?tie:tie -> Topology.Graph.t -> read:(int -> state) -> p:int -> int list
-(** Destinations whose entry at [p] differs from its target, ascending. *)
+(** Destinations whose entry at [p] differs from its target, ascending.
+    Each entry is compared with its target in place, so a [p] with no
+    enabled destination costs no allocation. *)
 
 val apply :
   ?tie:tie -> Topology.Graph.t -> read:(int -> state) -> p:int -> d:int -> state

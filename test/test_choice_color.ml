@@ -91,13 +91,19 @@ let test_color_out_of_range_ignored () =
 
 (* Properties *)
 
+(* Besides always yielding a permutation, [normalize] agrees with the
+   full normalization (the test-only reference, which never takes the
+   fast path) on arbitrary lists, and hands a well-formed queue back
+   physically unchanged. *)
 let prop_normalize_always_permutation =
   QCheck.Test.make ~name:"normalize yields a permutation of N_p u {p}"
     ~count:300
     QCheck.(pair (int_range 0 4) (list (int_range (-3) 8)))
     (fun (p, q) ->
       let q' = Ssmfp.Choice.normalize g5 ~p q in
-      Ssmfp.Choice.is_well_formed g5 ~p q')
+      Ssmfp.Choice.is_well_formed g5 ~p q'
+      && q' = Enabled_oracle.normalize g5 ~p q
+      && Ssmfp.Choice.normalize g5 ~p q' == q')
 
 let prop_serve_preserves_membership =
   QCheck.Test.make ~name:"serve keeps the queue a permutation" ~count:300

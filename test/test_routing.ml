@@ -144,6 +144,31 @@ let test_stabilize_largest () =
   Alcotest.(check bool) "reaches the largest-id fixpoint" true
     (Routing.Selfstab.is_correct ~tie:Routing.Selfstab.Largest_id g fixed)
 
+(* init_correct builds one table from deg p + 1 BFS runs, init_correct_all
+   all of them from one BFS per destination: the two must agree entry for
+   entry under either tie-break. *)
+let per_processor_matches_all g =
+  let n = Topology.Graph.n g in
+  List.for_all
+    (fun tie ->
+      let all = Routing.Selfstab.init_correct_all ~tie g in
+      List.for_all
+        (fun p -> Routing.Selfstab.init_correct ~tie g p = all.(p))
+        (List.init n Fun.id))
+    [ Routing.Selfstab.Smallest_id; Routing.Selfstab.Largest_id ]
+
+let test_init_correct_matches_all () =
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check bool) name true (per_processor_matches_all g))
+    [
+      ("ring:9", Topology.Builders.ring 9);
+      ("path:7", Topology.Builders.path 7);
+      ("star:8", Topology.Builders.star 8);
+      ("torus:4x5", Topology.Builders.torus ~rows:4 ~cols:5);
+      ("grid:3x4", Topology.Builders.grid ~rows:3 ~cols:4);
+    ]
+
 (* Properties *)
 
 let graph_of (n, extra, seed) =
@@ -197,6 +222,10 @@ let prop_routing_under_engine =
       let states = r.Harness.Runner.final_net.Sim.Engine.states in
       Routing.Selfstab.is_correct g (fun p -> states.(p).Ssmfp.State.routing))
 
+let prop_init_correct_matches_all =
+  QCheck.Test.make ~name:"init_correct = init_correct_all (both ties)"
+    ~count:100 gen (fun spec -> per_processor_matches_all (graph_of spec))
+
 let () =
   Alcotest.run "routing"
     [
@@ -214,6 +243,8 @@ let () =
           Alcotest.test_case "largest-id tie break" `Quick test_largest_tie_break;
           Alcotest.test_case "stabilize (largest)" `Quick test_stabilize_largest;
           Alcotest.test_case "init_worst shape" `Quick test_init_worst_shape;
+          Alcotest.test_case "init_correct matches init_correct_all" `Quick
+            test_init_correct_matches_all;
         ] );
       ( "table analyses",
         [
@@ -227,5 +258,6 @@ let () =
             prop_stabilizes_from_random;
             prop_silent_iff_correct;
             prop_routing_under_engine;
+            prop_init_correct_matches_all;
           ] );
     ]
