@@ -610,14 +610,46 @@ let test_differential_flaky_timeout_crash () =
 (* Exact end-of-run observables of the window-off synchronizer port,
    recorded on the pre-ring/pre-wheel runtime. The rework (and the
    window layer at window=0) must replay them bit-for-bit: deliveries,
-   pulses and a digest of every core + pulse counter. *)
+   pulses and a digest of every core + pulse counter.
+
+   The digest covers a canonical rendering of every semantic field, not
+   the memory layout: a change of representation (sharing, extra
+   indexes) leaves it unchanged, a change of any value trips it. *)
+
+let render_msg buf = function
+  | None -> Buffer.add_string buf "-"
+  | Some (m : Ssmfp.Message.t) ->
+      let g = m.Ssmfp.Message.ghost in
+      Printf.bprintf buf "(%S,%d,%d,#%d,%s,%d)" m.info m.last m.color
+        g.Ssmfp.Message.gid
+        (match g.validity with Valid -> "v" | Invalid -> "i")
+        g.born_src
+
+let render_core buf n (st : Ssmfp.State.t) =
+  for d = 0 to n - 1 do
+    let e = st.Ssmfp.State.routing.(d) in
+    Printf.bprintf buf "r%d=%d/%d;" d e.Routing.Selfstab.dist e.via
+  done;
+  for d = 0 to n - 1 do
+    let sl = Ssmfp.State.slot st d in
+    Printf.bprintf buf "s%d=" d;
+    render_msg buf sl.Ssmfp.State.buf_r;
+    Buffer.add_char buf '|';
+    render_msg buf sl.buf_e;
+    Buffer.add_char buf '|';
+    List.iter (Printf.bprintf buf "%d,") sl.queue;
+    Buffer.add_char buf ';'
+  done;
+  Printf.bprintf buf "rr=%d;req=%b;out=" st.rr st.request;
+  List.iter (fun (d, info) -> Printf.bprintf buf "%d:%S," d info) st.outbox
 
 let fingerprint t g =
   let n = Topology.Graph.n g in
   let buf = Buffer.create 256 in
   for p = 0 to n - 1 do
-    Buffer.add_string buf (Marshal.to_string (Mp.Ssmfp_mp.core t p) []);
-    Buffer.add_string buf (string_of_int (Mp.Ssmfp_mp.pulse_of t p))
+    Printf.bprintf buf "p%d{" p;
+    render_core buf n (Mp.Ssmfp_mp.core t p);
+    Printf.bprintf buf "}pulse=%d\n" (Mp.Ssmfp_mp.pulse_of t p)
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
@@ -647,31 +679,31 @@ let pin ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(loss = 0.)
 
 let test_pin_ring5_pristine () =
   pin ~seed:31 ~per_processor:2 ~deliveries:432 ~max_pulse:37
-    ~fp:"62d8f6db0fa037c200d1e038676938e5" "ring5-pristine"
+    ~fp:"cbce87273896f294fe1d65b20f31a9d4" "ring5-pristine"
     (Topology.Builders.ring 5)
 
 let test_pin_ring6_adversarial () =
   pin ~spec:Harness.Fault.adversarial ~seed:44 ~per_processor:2
-    ~deliveries:4315 ~max_pulse:281 ~fp:"e2bb788b694320a75229649928397003"
+    ~deliveries:4315 ~max_pulse:281 ~fp:"baf5e7a41971386eb962754af7eaa507"
     "ring6-adversarial" (Topology.Builders.ring 6)
 
 let test_pin_path4_garbage () =
   pin ~spec:Harness.Fault.adversarial ~channel_garbage:6 ~seed:9
     ~per_processor:1 ~deliveries:1649 ~max_pulse:265
-    ~fp:"7d997ed3e29d06c473cc6656de79a847" "path4-garbage"
+    ~fp:"e27128f5cb56527e906db35fe0cd5ffd" "path4-garbage"
     (Topology.Builders.path 4)
 
 let test_pin_ring6_lossy () =
   pin ~loss:0.15 ~duplication:0.05 ~reorder:0.10 ~seed:7 ~per_processor:2
     ~deliveries:843 ~max_pulse:65 ~lost:155 ~dup:49 ~reord:33
-    ~fp:"b4120f58063908476bb95d4188d4d316" "ring6-lossy"
+    ~fp:"b2aee004ff1185805ed7536b1a28264d" "ring6-lossy"
     (Topology.Builders.ring 6)
 
 let test_pin_fig2_flaky () =
   pin ~spec:Harness.Fault.adversarial ~loss:0.30 ~duplication:0.10
     ~reorder:0.20 ~channel_garbage:4 ~seed:12 ~per_processor:1
     ~deliveries:1987 ~max_pulse:281 ~lost:811 ~dup:253 ~reord:127
-    ~fp:"8f81828f0eaf59ca301ca2289b760dee" "fig2-flaky"
+    ~fp:"affff3156767e683a155dfc0bb86dd3f" "fig2-flaky"
     (Topology.Builders.paper_figure2)
 
 let chaos_pin ~schedule ~seed ?(aftermath = 0) ?(channel_garbage = 0)
