@@ -9,27 +9,21 @@ let apply_domain rng g ~p (st : Ssmfp.State.t) (d : Schedule.domain) =
   match d with
   | Schedule.Routing -> Ssmfp.State.with_routing st (Routing.Selfstab.init_random rng g p)
   | Schedule.Buffers ->
-      let slots =
-        Array.map
-          (fun (sl : Ssmfp.State.slot) ->
-            let buf old =
-              if Prng.Splitmix.bernoulli rng 0.5 then
-                Some (Harness.Fault.invalid_message rng g ~at:p ~delta payload_pool)
-              else old
-            in
-            { sl with Ssmfp.State.buf_r = buf sl.Ssmfp.State.buf_r;
-                      buf_e = buf sl.Ssmfp.State.buf_e })
-          st.Ssmfp.State.slots
-      in
-      { st with Ssmfp.State.slots }
+      Ssmfp.State.map_slots
+        (fun (sl : Ssmfp.State.slot) ->
+          let buf old =
+            if Prng.Splitmix.bernoulli rng 0.5 then
+              Some (Harness.Fault.invalid_message rng g ~at:p ~delta payload_pool)
+            else old
+          in
+          { sl with Ssmfp.State.buf_r = buf sl.Ssmfp.State.buf_r;
+                    buf_e = buf sl.Ssmfp.State.buf_e })
+        st
   | Schedule.Queues ->
-      let slots =
-        Array.map
-          (fun (sl : Ssmfp.State.slot) ->
-            { sl with Ssmfp.State.queue = Prng.Splitmix.shuffle rng sl.Ssmfp.State.queue })
-          st.Ssmfp.State.slots
-      in
-      { st with Ssmfp.State.slots }
+      Ssmfp.State.map_slots
+        (fun (sl : Ssmfp.State.slot) ->
+          { sl with Ssmfp.State.queue = Prng.Splitmix.shuffle rng sl.Ssmfp.State.queue })
+        st
   | Schedule.Flags ->
       {
         st with

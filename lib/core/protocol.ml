@@ -250,18 +250,66 @@ let add_rules g ~variant net ~p ~d acc =
     |> add R4 d (guard_r4 g net ~p ~d)
     |> add R6 d (guard_r6 net ~p ~d)
 
-(* Destinations rr, rr+1, ..., n-1, 0, ..., rr-1, walked from the back so
-   the list comes out in offer order. *)
-let rec ssmfp_actions g ~variant net ~p ~n ~rr i acc =
-  if i < 0 then acc
+(* --- candidate destinations ------------------------------------------- *)
+
+(* Word [w] of C_p = busy(p) ∪ ⋃_{s∈N_p} busy(s) ∪ {R1's target}, where
+   busy(q) is q's occupancy bitset. Every live destination is in C_p
+   (DESIGN.md §5, candidate-set lemma), so walking C_p and keeping the
+   live members offers exactly what walking all n would. *)
+let rec or_busy net w acc = function
+  | [] -> acc
+  | s :: rest -> or_busy net w (acc lor State.busy_word (read net s) w) rest
+
+let candidate_word net ~p ~nbrs ~target w =
+  let m = or_busy net w (State.busy_word (read net p) w) nbrs in
+  if target >= 0 && target / State.word_bits = w then
+    m lor (1 lsl (target mod State.word_bits))
+  else m
+
+(* Prepend the enabled actions of the candidates base + b for the set
+   bits b of [m], highest first. [m] holds no bit above [b]. *)
+let rec add_bits g ~variant net ~p m base b acc =
+  if m = 0 then acc
   else
-    ssmfp_actions g ~variant net ~p ~n ~rr (i - 1)
-      (add_rules g ~variant net ~p ~d:((rr + i) mod n) acc)
+    let bit = 1 lsl b in
+    if m land bit = 0 then add_bits g ~variant net ~p m base (b - 1) acc
+    else
+      add_bits g ~variant net ~p (m lxor bit) base (b - 1)
+        (add_rules g ~variant net ~p ~d:(base + b) acc)
+
+(* Prepend the actions of the candidates in [lo, hi], walked from the
+   back one bitset word at a time, each word's bits clamped to the
+   range. *)
+let rec add_range g ~variant net ~p ~nbrs ~target ~lo hi acc =
+  if hi < lo then acc
+  else
+    let w = hi / State.word_bits in
+    let base = w * State.word_bits in
+    let b_lo = max lo base - base and b_hi = hi - base in
+    let in_range = ((1 lsl (b_hi + 1)) - 1) land (-1 lsl b_lo) in
+    let m = candidate_word net ~p ~nbrs ~target w land in_range in
+    add_range g ~variant net ~p ~nbrs ~target ~lo (base - 1)
+      (add_bits g ~variant net ~p m base b_hi acc)
+
+let r1_target sp ~n =
+  if not sp.State.request then -1
+  else
+    match sp.State.outbox with
+    | (d, _) :: _ when d >= 0 && d < n -> d
+    | _ -> -1
 
 let rr_of g net p =
   let n = Topology.Graph.n g in
   let rr = (read net p).State.rr mod n in
   if rr < 0 then rr + n else rr
+
+(* Candidates rr, ..., n-1, 0, ..., rr-1 in offer order: the second
+   segment is prepended first. *)
+let ssmfp_actions g ~variant net ~p ~n ~rr =
+  let nbrs = Topology.Graph.neighbors g p in
+  let target = r1_target (read net p) ~n in
+  add_range g ~variant net ~p ~nbrs ~target ~lo:rr (n - 1)
+    (add_range g ~variant net ~p ~nbrs ~target ~lo:0 (rr - 1) [])
 
 let enabled_rules g ?(variant = faithful) ?(run_routing = true)
     ?(tie = Routing.Selfstab.Smallest_id) net ~p =
@@ -273,7 +321,7 @@ let enabled_rules g ?(variant = faithful) ?(run_routing = true)
     else []
   in
   match dests with
-  | [] -> ssmfp_actions g ~variant net ~p ~n ~rr (n - 1) []
+  | [] -> ssmfp_actions g ~variant net ~p ~n ~rr
   | _ ->
       (* ascending [dests] in rotated order: entries >= rr, then < rr *)
       let below, from_rr = List.partition (fun d -> d < rr) dests in
@@ -322,7 +370,5 @@ let message_count (net : State.t Sim.Engine.net) =
 let has_traffic (net : State.t Sim.Engine.net) =
   Array.exists
     (fun sp ->
-      sp.State.request
-      || sp.State.outbox <> []
-      || State.occupied_buffers sp <> [])
+      sp.State.request || sp.State.outbox <> [] || State.has_occupied sp)
     net.states

@@ -22,9 +22,17 @@ type slot = {
           normalized on use by {!Choice.normalize} *)
 }
 
+type slots
+(** The per-destination slots, indexed by destination (length [n]),
+    together with an occupancy bitset over them: destination [d]'s bit is
+    set iff [bufR_p(d)] or [bufE_p(d)] holds a message. Abstract so that
+    no caller can replace the slots without the index: every [slots]
+    value comes from {!init_slots}, {!with_slot} or {!map_slots}, which
+    keep the bitset equal to a recount of the slots. *)
+
 type t = {
   routing : Routing.Selfstab.state;
-  slots : slot array;  (** indexed by destination, length [n] *)
+  slots : slots;
   rr : int;  (** destination rotation cursor *)
   request : bool;  (** the shared variable [request_p] *)
   outbox : (int * Message.info) list;
@@ -34,14 +42,38 @@ type t = {
 val empty_slot : Topology.Graph.t -> p:int -> slot
 (** Empty buffers, queue = [p :: N_p]. *)
 
+val init_slots : int -> (int -> slot) -> slots
+(** [init_slots n f] holds [f 0], ..., [f (n-1)], calling [f] in that
+    order. *)
+
 val clean : Topology.Graph.t -> ?correct_routing:bool -> int -> t
 (** [clean g p] is the pristine state: empty buffers, canonical queues, no
     request, empty outbox, and routing tables stabilized when
-    [correct_routing] (default [true]) or all-zero otherwise. *)
+    [correct_routing] (default [true]) or all-zero otherwise. All [n]
+    slots share one {!empty_slot} record. *)
+
+val dests : t -> int
+(** Number of slots, [n]. *)
 
 val slot : t -> int -> slot
+
 val with_slot : t -> int -> slot -> t
-(** Functional slot update (fresh array). *)
+(** Functional slot update: a fresh slot array, O(n). The bitset is
+    shared with [t] unless [d]'s occupancy flips, in which case it is
+    copied ([n / word_bits] words). *)
+
+val map_slots : (slot -> slot) -> t -> t
+(** Replace every slot by [f] of it, calling [f] in destination order. *)
+
+val iter_slots : (slot -> unit) -> t -> unit
+(** The slots in destination order. *)
+
+val word_bits : int
+(** Destinations per bitset word ([Sys.int_size]). *)
+
+val busy_word : t -> int -> int
+(** [busy_word t w] is word [w] of the occupancy bitset: bit [i] is set
+    iff slot [w * word_bits + i] holds a message. *)
 
 val with_routing : t -> Routing.Selfstab.state -> t
 val with_rr : t -> int -> t
@@ -60,8 +92,8 @@ val push_outbox : t -> dest:int -> Message.info -> t
 (** Append a send request (higher layer). *)
 
 val has_occupied : t -> bool
-(** [occupied_buffers t <> []] without building the list — the hot
-    drain check at large [n]. *)
+(** [occupied_buffers t <> []], read off the bitset: [O(n / word_bits)].
+    The hot drain check at large [n]. *)
 
 val occupied_buffers : t -> (int * [ `R | `E ] * Message.t) list
 (** All messages present at this processor as [(destination, buffer,

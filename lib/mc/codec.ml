@@ -86,13 +86,13 @@ let encode t states ~delivered =
           add_int t e.Routing.Selfstab.via)
         st.Ssmfp.State.routing;
       add_int t (List.length st.Ssmfp.State.outbox);
-      Array.iter
+      Ssmfp.State.iter_slots
         (fun (sl : Ssmfp.State.slot) ->
           add_msg t sl.Ssmfp.State.buf_r;
           add_msg t sl.Ssmfp.State.buf_e;
           add_int t (List.length sl.Ssmfp.State.queue);
           List.iter (fun q -> add_int t q) sl.Ssmfp.State.queue)
-        st.Ssmfp.State.slots)
+        st)
     states;
   add_int t (min delivered 2)
 
@@ -125,7 +125,7 @@ let string_key states ~delivered =
           Buffer.add_char buf ',')
         st.Ssmfp.State.routing;
       Buffer.add_string buf (string_of_int (List.length st.Ssmfp.State.outbox));
-      Array.iter
+      Ssmfp.State.iter_slots
         (fun (sl : Ssmfp.State.slot) ->
           Buffer.add_char buf '[';
           string_of_msg buf sl.Ssmfp.State.buf_r;
@@ -138,7 +138,7 @@ let string_key states ~delivered =
               Buffer.add_char buf ',')
             sl.Ssmfp.State.queue;
           Buffer.add_char buf ']')
-        st.Ssmfp.State.slots;
+        st;
       Buffer.add_char buf ';')
     states;
   Buffer.add_string buf (string_of_int (min delivered 2));

@@ -62,9 +62,9 @@ let public_of (core : Ssmfp.State.t) =
   {
     pub_routing = Array.copy core.Ssmfp.State.routing;
     pub_bufs =
-      Array.map
-        (fun sl -> (sl.Ssmfp.State.buf_r, sl.Ssmfp.State.buf_e))
-        core.Ssmfp.State.slots;
+      Array.init (Ssmfp.State.dests core) (fun d ->
+          let sl = Ssmfp.State.slot core d in
+          (sl.Ssmfp.State.buf_r, sl.Ssmfp.State.buf_e));
   }
 
 (* Reconstruct the State.t a guard would read for neighbor [q] from its
@@ -74,9 +74,9 @@ let state_of_public q pub =
   {
     Ssmfp.State.routing = pub.pub_routing;
     slots =
-      Array.map
-        (fun (r, e) -> { Ssmfp.State.buf_r = r; buf_e = e; queue = [ q ] })
-        pub.pub_bufs;
+      Ssmfp.State.init_slots (Array.length pub.pub_bufs) (fun d ->
+          let r, e = pub.pub_bufs.(d) in
+          { Ssmfp.State.buf_r = r; buf_e = e; queue = [ q ] });
     rr = 0;
     request = false;
     outbox = [];

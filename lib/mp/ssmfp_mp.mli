@@ -36,6 +36,14 @@ type public = {
 
 type payload = Snapshot of int * public  (** (pulse, readable state) *)
 
+val public_of : Ssmfp.State.t -> public
+(** The part of a core its neighbors read: routing table and buffers. *)
+
+val state_of_public : int -> public -> Ssmfp.State.t
+(** [state_of_public q pub] is the core a guard at a neighbor of [q]
+    reads for [q]: [pub]'s routing and buffers, placeholders for the
+    fields no neighbor reads (queue, rr, request, outbox). *)
+
 type t
 
 type channel_stats = {

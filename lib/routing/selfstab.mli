@@ -71,8 +71,8 @@ val target :
 val enabled_dests :
   ?tie:tie -> Topology.Graph.t -> read:(int -> state) -> p:int -> int list
 (** Destinations whose entry at [p] differs from its target, ascending.
-    Each entry is compared with its target in place, so a [p] with no
-    enabled destination costs no allocation. *)
+    One pass: each neighbor's table is read once, then every entry is
+    compared with its target in place. *)
 
 val apply :
   ?tie:tie -> Topology.Graph.t -> read:(int -> state) -> p:int -> d:int -> state

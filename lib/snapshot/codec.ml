@@ -86,10 +86,10 @@ let add_core t (st : Ssmfp.State.t) =
       add_int t e.Routing.Selfstab.via)
     st.Ssmfp.State.routing;
   add_int t (List.length st.Ssmfp.State.outbox);
-  Array.iter
+  Ssmfp.State.iter_slots
     (fun (sl : Ssmfp.State.slot) ->
       add_msg t sl.Ssmfp.State.buf_r;
       add_msg t sl.Ssmfp.State.buf_e;
       add_int t (List.length sl.Ssmfp.State.queue);
       List.iter (fun q -> add_int t q) sl.Ssmfp.State.queue)
-    st.Ssmfp.State.slots
+    st

@@ -222,6 +222,74 @@ let prop_routing_under_engine =
       let states = r.Harness.Runner.final_net.Sim.Engine.states in
       Routing.Selfstab.is_correct g (fun p -> states.(p).Ssmfp.State.routing))
 
+(* The one-pass [enabled_dests] and [is_silent] against the per-d
+   [stable] filter of routing_oracle.ml, under both ties, on correct or
+   random tables with corrupted entries: dist above n, negative dist,
+   via outside N_p ∪ {p}, and a random in-domain entry. *)
+let corrupted_tables =
+  QCheck.make
+    ~print:(fun ((n, e, s), (random, smallest, edits)) ->
+      Printf.sprintf "n=%d extra=%d seed=%d random=%b tie=%s edits=[%s]" n e s
+        random
+        (if smallest then "smallest" else "largest")
+        (String.concat "; "
+           (List.map
+              (fun (k, p, d, x) -> Printf.sprintf "(%d,%d,%d,%d)" k p d x)
+              edits)))
+    QCheck.Gen.(
+      pair
+        (triple (int_range 2 20) (int_range 0 15) (int_range 0 5_000))
+        (triple bool bool
+           (list_size (int_range 0 6)
+              (quad (int_range 0 3) small_nat small_nat small_nat))))
+
+let corrupt g rng tables (kind, p, d, x) =
+  let open Routing.Selfstab in
+  let n = Topology.Graph.n g in
+  let p = p mod n and d = d mod n in
+  let e = tables.(p).(d) in
+  let e =
+    match kind with
+    | 0 -> { e with dist = n + 1 + x }
+    | 1 -> { e with dist = -1 - x }
+    | 2 ->
+        let outside =
+          List.filter
+            (fun q -> q <> p && not (Topology.Graph.is_edge g p q))
+            (List.init n Fun.id)
+        in
+        let via =
+          match outside with
+          | [] -> n + x
+          | _ -> List.nth outside (x mod List.length outside)
+        in
+        { e with via = (if x land 1 = 0 then via else -1 - x) }
+    | _ -> (init_random rng g p).(d)
+  in
+  tables.(p) <- Array.copy tables.(p);
+  tables.(p).(d) <- e
+
+let prop_scan_matches_reference =
+  QCheck.Test.make ~name:"enabled_dests/is_silent = per-d stable filter"
+    ~count:300 corrupted_tables (fun (spec, (random, smallest, edits)) ->
+      let g = graph_of spec in
+      let _, _, seed = spec in
+      let tie = Routing.Selfstab.(if smallest then Smallest_id else Largest_id) in
+      let rng = Prng.Splitmix.of_int (seed + 3) in
+      let tables =
+        if random then Routing.Table.random_all rng g
+        else Array.init (Topology.Graph.n g) (Routing.Selfstab.init_correct ~tie g)
+      in
+      List.iter (corrupt g rng tables) edits;
+      let read = read_of tables in
+      List.for_all
+        (fun p ->
+          Routing.Selfstab.enabled_dests ~tie g ~read ~p
+          = Routing_oracle.enabled_dests ~tie g ~read ~p)
+        (Topology.Graph.vertices g)
+      && Routing.Selfstab.is_silent ~tie g read
+         = Routing_oracle.is_silent ~tie g read)
+
 let prop_init_correct_matches_all =
   QCheck.Test.make ~name:"init_correct = init_correct_all (both ties)"
     ~count:100 gen (fun spec -> per_processor_matches_all (graph_of spec))
@@ -258,6 +326,7 @@ let () =
             prop_stabilizes_from_random;
             prop_silent_iff_correct;
             prop_routing_under_engine;
+            prop_scan_matches_reference;
             prop_init_correct_matches_all;
           ] );
     ]
