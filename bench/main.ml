@@ -152,24 +152,12 @@ let export_artifacts dir =
    cartesian grid, so Campaign.Spec.expand does not apply). *)
 let chart_scenario ~index ~spelling ~corruption ~workload ~seed =
   let open Campaign.Spec in
-  let topology = topology_exn spelling in
-  let daemon = Harness.Runner.Synchronous in
   {
+    (make_scenario ~topology:(topology_exn spelling) ~corruption
+       ~daemon:Harness.Runner.Synchronous ~workload ~model:State_model
+       ~chaos:Chaos.Schedule.none ~snapshot:0 ~seed ~max_steps:500_000)
+    with
     index;
-    id =
-      Printf.sprintf "%s/%s/%s/%s/state/none/s%d" topology.t_name
-        (corruption_to_string corruption)
-        (Harness.Runner.daemon_kind_to_string daemon)
-        (workload_to_string workload) seed;
-    topology;
-    corruption;
-    daemon;
-    workload;
-    model = State_model;
-    chaos = Chaos.Schedule.none;
-    snapshot = 0;
-    seed;
-    max_steps = 500_000;
   }
 
 let chart_value (o : Campaign.Pool.outcome) f =

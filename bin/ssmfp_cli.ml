@@ -10,26 +10,239 @@
      ssmfp_cli mc --scenario 2chain *)
 
 open Cmdliner
+module Spec = Campaign.Spec
+module Pool = Campaign.Pool
 
-(* ---------------- topology parsing ---------------- *)
+(* ---------------- scenario arguments ---------------- *)
 
-(* One grammar for every command: the campaign grid DSL owns it. *)
-let parse_topology s =
-  match Campaign.Spec.topology_of_string s with
-  | Ok t -> Ok (t.Campaign.Spec.t_name, t.Campaign.Spec.graph)
-  | Error e -> Error (`Msg e)
-
-let topology_conv =
+(* One conv per scenario axis, each wrapping the parser the campaign grid
+   uses for that axis: a spelling means the same run to every command. *)
+let conv_of parse print =
   Arg.conv
-    ( (fun s -> parse_topology s),
-      fun fmt (name, _) -> Format.pp_print_string fmt name )
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
+      fun fmt v -> Format.pp_print_string fmt (print v) )
+
+let topology_conv = conv_of Spec.topology_of_string (fun t -> t.Spec.t_name)
+
+let corruption_conv =
+  conv_of Spec.corruption_of_string Spec.corruption_to_string
+
+let daemon_conv =
+  conv_of Harness.Runner.daemon_kind_of_string
+    Harness.Runner.daemon_kind_to_string
+
+let model_conv = conv_of Spec.model_of_string Spec.model_to_string
+let schedule_conv = conv_of Chaos.Schedule.of_string Chaos.Schedule.to_string
+let snapshot_conv = conv_of Spec.snapshot_of_string string_of_int
 
 let topology_arg =
   Arg.(
     value
-    & opt topology_conv ("ring:8", Topology.Builders.ring 8)
+    & opt topology_conv (Spec.topology_exn "ring:8")
     & info [ "t"; "topology" ] ~docv:"TOPOLOGY"
         ~doc:"Network: ring:8, path:5, star:6, grid:3x4, random:12:6, fig2, ...")
+
+let corruption_arg default =
+  Arg.(
+    value
+    & opt corruption_conv default
+    & info [ "c"; "corruption" ] ~docv:"LEVEL"
+        ~doc:
+          "Initial configuration: pristine, random (a seed-derived random \
+           point of the corruption space) or adversarial.")
+
+let seed_arg =
+  Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
+
+let daemon_arg default =
+  Arg.(
+    value
+    & opt daemon_conv default
+    & info [ "d"; "daemon" ] ~docv:"DAEMON"
+        ~doc:
+          "Scheduler of the state model: synchronous, central, distributed, \
+           round-robin, adversarial or random-action (the mp synchronizer \
+           has none).")
+
+(* -w KIND and -m K together are the campaign workload spelling KIND:K. *)
+let workload_arg =
+  let kind =
+    Arg.(
+      value & opt string "uniform"
+      & info [ "w"; "workload" ] ~docv:"KIND"
+          ~doc:
+            "Traffic pattern: uniform, all-to-one, one-to-all, permutation, \
+             neighbors or saturating.")
+  in
+  let messages =
+    Arg.(
+      value & opt int 2
+      & info [ "m"; "messages" ] ~docv:"K"
+          ~doc:"Messages per processor (uniform random destinations).")
+  in
+  let parse kind k = Spec.workload_of_string (Printf.sprintf "%s:%d" kind k) in
+  Term.(term_result' ~usage:true (const parse $ kind $ messages))
+
+let model_arg =
+  Arg.(
+    value
+    & opt model_conv Spec.State_model
+    & info [ "model" ] ~docv:"MODEL"
+        ~doc:
+          "Execution model: state (shared-memory engine, burst rounds are \
+           engine rounds) or mp (message-passing synchronizer, burst rounds \
+           are pulses).")
+
+let schedule_arg default =
+  Arg.(
+    value
+    & opt schedule_conv default
+    & info [ "schedule" ] ~docv:"SPEC"
+        ~doc:
+          "Fault schedule: bursts joined by '+', each \
+           <round>:<domains>:<victims> with domains from r(outing) \
+           b(uffers) q(ueues) f(lags) c(rash) and victims a count or \
+           'all'; optional '@' modifiers (mp model only): a channel preset \
+           '@lossy' or '@flaky', '@win=<k>' (sliding-window \
+           retransmission) and '@ps=<delta>:<gst>' (partial synchrony). \
+           Example: 10:rbqf:all+40:c:2@lossy@win=8. 'none' disables \
+           faults.")
+
+let max_steps_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "max-steps" ] ~docv:"N"
+        ~doc:
+          "Step budget (state model) / per-segment delivery budget (mp \
+           model). Default 2000000; campaign defaults to the grid's \
+           budget.")
+
+(* The scenario a single-run command executes. Commands differ only in
+   their defaults and in the axes they fix (a constant term). *)
+let scenario_term ~corruption ~daemon ~model ~schedule ~snapshot =
+  let make topology corruption daemon workload model chaos snapshot seed
+      max_steps =
+    Spec.make_scenario ~topology ~corruption ~daemon ~workload ~model ~chaos
+      ~snapshot ~seed
+      ~max_steps:(Option.value max_steps ~default:2_000_000)
+  in
+  Term.(
+    const make $ topology_arg $ corruption_arg corruption $ daemon_arg daemon
+    $ workload_arg $ model $ schedule $ snapshot $ seed_arg $ max_steps_arg)
+
+(* ---------------- artifacts and printers ---------------- *)
+
+let json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:"Write the command's machine-readable summary to $(docv).")
+
+let journal_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "journal" ] ~docv:"FILE"
+        ~doc:
+          "State model only: write the structured event journal to $(docv) \
+           as JSONL (one protocol event per line with step, round, pid and \
+           ghost id; chaos runs add fault_injected events).")
+
+let cut_journal_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "cut-journal" ] ~docv:"FILE"
+        ~doc:
+          "With snapshots on: stream one snapshot_cut JSONL line per \
+           completed cut (epoch, initiator, fingerprint, clock) to $(docv) \
+           as cuts are harvested.")
+
+(* An artifact that cannot be opened or written ends the command with
+   exit 2. *)
+let guard_artifacts f =
+  try f ()
+  with Sys_error msg ->
+    Printf.eprintf "ssmfp_cli: cannot write artifact: %s\n" msg;
+    2
+
+let write_json path doc =
+  let oc = open_out path in
+  output_string oc (Obs.Json.to_string doc);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "summary     : %s\n" path
+
+(* A sink only when an export asks for one: attaching it turns on the
+   deep probes. The journal streams to disk as events are recorded, and
+   the [finally] close means an aborted run keeps a partial JSONL. *)
+let with_sink ~json_file ~journal_file run =
+  if json_file = None && journal_file = None then (run None, None)
+  else
+    let obs =
+      Obs.Sink.create ~with_journal:(journal_file <> None)
+        ?journal_path:journal_file ()
+    in
+    let x =
+      Fun.protect
+        ~finally:(fun () -> Obs.Sink.close obs)
+        (fun () -> run (Some obs))
+    in
+    match (journal_file, Obs.Sink.journal obs) with
+    | Some path, Some j -> (x, Some (path, j))
+    | _ -> (x, None)
+
+(* Streams one snapshot_cut line per completed cut to [path] while [run]
+   executes with the recording hook. *)
+let with_cut_journal path run =
+  match path with
+  | None -> (run (fun _ -> ()), None)
+  | Some path ->
+      let j = Obs.Journal.create ~path () in
+      let record (c : Snapshot.Ssmfp_link.cut) =
+        Obs.Journal.record_cut j ~step:c.Snapshot.Cut.completed_at
+          ~epoch:c.Snapshot.Cut.epoch ~initiator:c.Snapshot.Cut.initiator
+          ~fingerprint:(Snapshot.Ssmfp_link.fingerprint_hex c)
+      in
+      let x =
+        Fun.protect ~finally:(fun () -> Obs.Journal.close j) (fun () -> run record)
+      in
+      (x, Some (path, j))
+
+let print_journal label noun =
+  Option.iter (fun (path, j) ->
+      Printf.printf "%-11s : %d %s -> %s\n" label (Obs.Journal.length j) noun
+        path)
+
+let print_topology (sc : Spec.scenario) =
+  let n, delta, diameter = Chaos.Runner.graph_meta sc.Spec.topology.Spec.graph in
+  Printf.printf "topology    : %s (n=%d, Δ=%d, D=%d)\n"
+    sc.Spec.topology.Spec.t_name n delta diameter
+
+let print_scenario_header (sc : Spec.scenario) =
+  print_topology sc;
+  Printf.printf "schedule    : %s\n" (Chaos.Schedule.to_string sc.Spec.chaos);
+  Printf.printf "corruption  : %s\n" (Spec.corruption_to_string sc.Spec.corruption)
+
+let print_mp_outcome (o : Chaos.Mp_run.outcome) =
+  Printf.printf "outcome     : %s after %d deliveries / %d pulses%s\n"
+    (match o.Chaos.Mp_run.mp_outcome with
+    | `All_done -> "all drained"
+    | `Max_deliveries -> "delivery budget exhausted")
+    o.Chaos.Mp_run.channel_deliveries o.Chaos.Mp_run.max_pulse
+    (if o.Chaos.Mp_run.window > 0 then
+       Printf.sprintf " / %d window retransmissions"
+         o.Chaos.Mp_run.window_retransmits
+     else "");
+  let ch = o.Chaos.Mp_run.channel in
+  Printf.printf
+    "channel     : %d delivered, %d lost, %d duplicated, %d reordered, %d dropped at down processes\n"
+    ch.Mp.Ssmfp_mp.delivered ch.Mp.Ssmfp_mp.lost ch.Mp.Ssmfp_mp.duplicated
+    ch.Mp.Ssmfp_mp.reordered ch.Mp.Ssmfp_mp.dropped_while_down
+
+let violated violations = "VIOLATED — " ^ String.concat "; " violations
 
 (* ---------------- profiling options ---------------- *)
 
@@ -69,77 +282,36 @@ let emit_prof ~profile ~prof_summary prof =
     if prof_summary then print_string (Obs.Traceview.summary prof)
   end
 
-(* Shared by chaos/snapshot: the mp retransmission layer and channel
-   timing model. Defaults (no window, no synchrony) reproduce the
-   historical behaviour byte-for-byte; the flags override the
-   schedule's own @win=/@ps= modifiers. *)
-let window_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "window" ] ~docv:"K"
-        ~doc:
-          "Mp model only: sliding-window retransmission with window \
-           size $(docv) (sequence numbers, cumulative acks, selective \
-           retransmit, wheel-driven RTO timers) instead of the default \
-           exponential-backoff republishing. Overrides the schedule's \
-           @win= modifier.")
-
-let delta_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "delta" ] ~docv:"STEPS"
-        ~doc:
-          "Mp model only: run the channels under partial synchrony with \
-           known message-delay bound $(docv) — after --gst, faults stop \
-           and every channel head is delivered within $(docv) + C \
-           steps. Overrides the schedule's @ps= modifier.")
-
-let gst_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "gst" ] ~docv:"STEP"
-        ~doc:
-          "Global stabilization time for --delta (default 0 = channels \
-           synchronous from the start). Before $(docv) the schedule's \
-           loss/duplication/reorder knobs apply unchanged.")
-
-let synchrony_of_flags ~delta ~gst =
-  match (delta, gst) with
-  | None, None -> Ok None
-  | Some d, g -> (
-      match Mp.Synchrony.make ~delta:d ~gst:(Option.value ~default:0 g) with
-      | sy -> Ok (Some sy)
-      | exception Invalid_argument m -> Error m)
-  | None, Some _ -> Error "--gst requires --delta"
+(* Shared by mc/campaign: a negative count is a usage error, 0
+   autodetects, and the resolved count is what runs (and what the
+   profiler sizes its tracks for). *)
+let workers_arg default =
+  let count =
+    conv_of
+      (fun s ->
+        match int_of_string_opt s with
+        | Some w when w >= 0 -> Ok w
+        | _ -> Error (Printf.sprintf "bad worker count %S (expected >= 0)" s))
+      string_of_int
+  in
+  Term.(
+    const Mc.Par.effective_workers
+    $ Arg.(
+        value & opt count default
+        & info [ "workers" ] ~docv:"N"
+            ~doc:
+              "Worker domains; 0 autodetects (one less than the recommended \
+               domain count). Results are identical for any worker count."))
 
 (* ---------------- run command ---------------- *)
 
-let corruption_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "pristine" | "none" -> Ok ("pristine", Harness.Fault.pristine)
-    | "random" -> Ok ("random", Harness.Fault.random_spec (Prng.Splitmix.of_int 3))
-    | "adversarial" | "worst" -> Ok ("adversarial", Harness.Fault.adversarial)
-    | _ -> Error (`Msg "corruption must be pristine, random or adversarial")
-  in
-  Arg.conv (parse, fun fmt (name, _) -> Format.pp_print_string fmt name)
-
-let daemon_conv =
-  let parse s =
-    match Harness.Runner.daemon_kind_of_string s with
-    | Ok k -> Ok k
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun fmt k ->
-      Format.pp_print_string fmt (Harness.Runner.daemon_kind_to_string k))
-
 (* The machine-readable twin of the `run` command's printed report. *)
-let run_summary_json ~topology ~n ~graph ~corruption ~daemon ~seed
-    ~journal_file (r : Harness.Runner.result) =
+let run_summary_json (sc : Spec.scenario) ~journal_file
+    (r : Harness.Runner.result) =
   let open Obs.Json in
+  let n, max_degree, diameter =
+    Chaos.Runner.graph_meta sc.Spec.topology.Spec.graph
+  in
   let oracle = r.Harness.Runner.oracle in
   let stats = r.Harness.Runner.stats in
   Obj
@@ -147,14 +319,14 @@ let run_summary_json ~topology ~n ~graph ~corruption ~daemon ~seed
       ( "topology",
         Obj
           [
-            ("name", String topology);
+            ("name", String sc.Spec.topology.Spec.t_name);
             ("n", Int n);
-            ("max_degree", Int (Topology.Graph.max_degree graph));
-            ("diameter", Int (Topology.Metrics.diameter graph));
+            ("max_degree", Int max_degree);
+            ("diameter", Int diameter);
           ] );
-      ("corruption", String corruption);
-      ("daemon", String (Harness.Runner.daemon_kind_to_string daemon));
-      ("seed", Int seed);
+      ("corruption", String (Spec.corruption_to_string sc.Spec.corruption));
+      ("daemon", String (Harness.Runner.daemon_kind_to_string sc.Spec.daemon));
+      ("seed", Int sc.Spec.seed);
       ( "outcome",
         String
           (match r.Harness.Runner.outcome with
@@ -203,109 +375,23 @@ let run_summary_json ~topology ~n ~graph ~corruption ~daemon ~seed
     ]
 
 let run_cmd =
-  let corruption =
-    Arg.(
-      value
-      & opt corruption_conv ("adversarial", Harness.Fault.adversarial)
-      & info [ "c"; "corruption" ] ~docv:"LEVEL"
-          ~doc:"Initial configuration: pristine, random or adversarial.")
-  in
-  let daemon =
-    Arg.(
-      value
-      & opt daemon_conv Harness.Runner.Distributed_random
-      & info [ "d"; "daemon" ] ~docv:"DAEMON"
-          ~doc:
-            "Scheduler: synchronous, central, distributed, round-robin, \
-             adversarial or random-action.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
-  in
-  let messages =
-    Arg.(
-      value & opt int 2
-      & info [ "m"; "messages" ] ~docv:"K"
-          ~doc:"Messages per processor (uniform random destinations).")
-  in
-  let workload_kind =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("uniform", `Uniform); ("all-to-one", `All_to_one);
-               ("one-to-all", `One_to_all); ("permutation", `Permutation);
-               ("neighbors", `Neighbors);
-             ])
-          `Uniform
-      & info [ "w"; "workload" ] ~docv:"KIND"
-          ~doc:
-            "Traffic pattern: uniform, all-to-one, one-to-all, permutation \
-             or neighbors.")
-  in
-  let max_steps =
-    Arg.(
-      value & opt int 2_000_000
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Step budget.")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write a machine-readable run summary (outcome, engine stats, \
-             oracle verdict, metrics snapshot) to $(docv).")
-  in
-  let journal_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "Write the structured event journal to $(docv) as JSONL (one \
-             protocol event per line with step, round, pid and ghost id).")
-  in
-  let run (name, graph) (spec_name, spec) daemon seed messages max_steps
-      workload_kind json_file journal_file =
-    let n = Topology.Graph.n graph in
-    let rng = Prng.Splitmix.of_int (seed + 7919) in
-    let workload =
-      match workload_kind with
-      | `Uniform -> Harness.Workload.uniform_random rng ~n ~per_processor:messages
-      | `All_to_one ->
-          Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:messages ()
-      | `One_to_all -> Harness.Workload.one_to_all ~n ~src:0 ~rounds:messages
-      | `Permutation ->
-          Harness.Workload.permutation rng ~n ~per_processor:messages
-      | `Neighbors ->
-          Harness.Workload.neighbors_only graph ~per_processor:messages
+  let run sc json_file journal_file =
+    guard_artifacts @@ fun () ->
+    let x, journal =
+      with_sink ~json_file ~journal_file (fun obs -> Pool.execute ?obs sc)
     in
-    let cfg =
-      Harness.Runner.config ~spec ~daemon ~seed ~max_steps graph workload
-    in
-    let obs =
-      if json_file <> None || journal_file <> None then
-        Some
-          (Obs.Sink.create
-             ~with_journal:(journal_file <> None)
-             ?journal_path:journal_file ())
-      else None
-    in
-    (* Stream the journal: every event hits disk as it is recorded, and
-       the [finally] close means an aborted run keeps a partial JSONL. *)
     let r =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Obs.Sink.close obs)
-        (fun () -> Harness.Runner.run ?obs cfg)
+      match x.Pool.run with
+      | Pool.State o -> o.Chaos.Runner.run
+      | Pool.Mp _ -> invalid_arg "run: the command fixes the state model"
     in
-    Printf.printf "topology    : %s (n=%d, Δ=%d, D=%d)\n" name n
-      (Topology.Graph.max_degree graph)
-      (Topology.Metrics.diameter graph);
-    Printf.printf "corruption  : %s (%d invalid messages planted)\n" spec_name
+    let n = Topology.Graph.n sc.Spec.topology.Spec.graph in
+    print_topology sc;
+    Printf.printf "corruption  : %s (%d invalid messages planted)\n"
+      (Spec.corruption_to_string sc.Spec.corruption)
       r.invalid_planted;
-    Printf.printf "daemon      : %s\n" (Harness.Runner.daemon_kind_to_string daemon);
+    Printf.printf "daemon      : %s\n"
+      (Harness.Runner.daemon_kind_to_string sc.Spec.daemon);
     Printf.printf "outcome     : %s after %d steps / %d rounds / %d moves\n"
       (match r.outcome with
       | `Quiescent -> "quiescent"
@@ -328,40 +414,24 @@ let run_cmd =
       Printf.printf "latency     : %s\n"
         (Format.asprintf "%a" Harness.Stats.pp_summary lat);
     Printf.printf "SP verdict  : %s\n"
-      (if r.verdict.Harness.Oracle.ok then "satisfied (exactly-once)"
-       else "VIOLATED — " ^ String.concat "; " r.verdict.Harness.Oracle.violations);
-    try
-      (match (journal_file, Option.map Obs.Sink.journal obs) with
-      | Some path, Some (Some j) ->
-          Printf.printf "journal     : %d events -> %s\n" (Obs.Journal.length j)
-            path
-      | _ -> ());
-      (match json_file with
-      | None -> ()
-      | Some path ->
-          let summary =
-            run_summary_json ~topology:name ~n ~graph ~corruption:spec_name
-              ~daemon ~seed ~journal_file r
-          in
-          let oc = open_out path in
-          output_string oc (Obs.Json.to_string summary);
-          output_char oc '\n';
-          close_out oc;
-          Printf.printf "summary     : %s\n" path);
-      if r.verdict.Harness.Oracle.ok then 0 else 1
-    with Sys_error msg ->
-      Printf.eprintf "ssmfp_cli: cannot write artifact: %s\n" msg;
-      2
+      (if x.Pool.verdict_ok then "satisfied (exactly-once)"
+       else violated x.Pool.violations);
+    print_journal "journal" "events" journal;
+    Option.iter
+      (fun path -> write_json path (run_summary_json sc ~journal_file r))
+      json_file;
+    if x.Pool.verdict_ok then 0 else 1
   in
-  let term =
-    Term.(
-      const run $ topology_arg $ corruption $ daemon $ seed $ messages
-      $ max_steps $ workload_kind $ json_file $ journal_file)
+  let scenario =
+    scenario_term ~corruption:Spec.Adversarial
+      ~daemon:Harness.Runner.Distributed_random
+      ~model:(Term.const Spec.State_model)
+      ~schedule:(Term.const Chaos.Schedule.none) ~snapshot:(Term.const 0)
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run SSMFP on a network from a (possibly corrupted) configuration.")
-    term
+    Term.(const run $ scenario $ json_arg $ journal_arg)
 
 (* ---------------- tables command ---------------- *)
 
@@ -419,7 +489,8 @@ let dot_cmd =
       & opt (enum [ ("ssmfp", `Ssmfp); ("destination", `Dest) ]) `Ssmfp
       & info [ "scheme" ] ~doc:"Buffer graph scheme: ssmfp or destination.")
   in
-  let run (_, graph) dest scheme =
+  let run (topology : Spec.topology) dest scheme =
+    let graph = topology.Spec.graph in
     let tables = Routing.Table.correct_all graph in
     let next_hop ~p ~d = Routing.Selfstab.next_hop tables.(p) ~d in
     let bg =
@@ -447,86 +518,88 @@ let watch_cmd =
   let every =
     Arg.(value & opt int 1 & info [ "every" ] ~docv:"K" ~doc:"Render every K-th step.")
   in
-  let corruption =
-    Arg.(
-      value
-      & opt corruption_conv ("adversarial", Harness.Fault.adversarial)
-      & info [ "c"; "corruption" ] ~docv:"LEVEL"
-          ~doc:"Initial configuration: pristine, random or adversarial.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
-  in
-  let run (name, graph) (spec_name, spec) dest steps every seed =
+  let run (topology : Spec.topology) corruption dest steps every seed =
+    let graph = topology.Spec.graph in
     let n = Topology.Graph.n graph in
-    if dest < 0 || dest >= n then begin
-      Printf.eprintf "dest %d out of range\n" dest;
-      exit 2
-    end;
-    let master = Prng.Splitmix.of_int seed in
-    let fault_rng = Prng.Splitmix.split master in
-    let daemon_rng = Prng.Splitmix.split master in
-    let wl_rng = Prng.Splitmix.split master in
-    let workload = Harness.Workload.uniform_random wl_rng ~n ~per_processor:1 in
-    let protocol = Ssmfp.Protocol.make graph in
-    let t =
-      Sim.Engine.make ~graph ~protocol (fun p ->
-          Harness.Fault.initial_states ~rng:fault_rng spec graph
-            ~workload p)
+    let usage_error msg =
+      Printf.eprintf "ssmfp_cli watch: %s\n" msg;
+      2
     in
-    let daemon = Sim.Daemon.distributed_random daemon_rng in
-    Printf.printf "%s, %s corruption, watching destination %d\n" name
-      spec_name dest;
-    print_endline
-      (Harness.Viz.frame graph (Sim.Engine.net t) ~dest ~step:0 ~moves:[]);
-    let moves_of events =
-      List.filter_map
-        (fun (pid, ev) ->
-          match ev with
-          | Ssmfp.Protocol.Routing_update d when d = dest ->
-              Some (Printf.sprintf "p%d:RA" pid)
-          | Ssmfp.Protocol.Generated (_, d)
-          | Ssmfp.Protocol.Internal_forward (_, d)
-          | Ssmfp.Protocol.Copied (_, _, d)
-          | Ssmfp.Protocol.Erased_after_forward (_, d)
-          | Ssmfp.Protocol.Erased_duplicate (_, d)
-            when d = dest ->
-              Some (Printf.sprintf "p%d" pid)
-          | Ssmfp.Protocol.Delivered _ when pid = dest ->
-              Some (Printf.sprintf "p%d:deliver" pid)
-          | _ -> None)
-        events
-    in
-    let raise_requests t =
-      Topology.Graph.iter_vertices
-        (fun p ->
-          let st = Sim.Engine.state t p in
-          if (not st.Ssmfp.State.request) && st.Ssmfp.State.outbox <> [] then
-            Sim.Engine.set_state t p { st with Ssmfp.State.request = true })
-        graph
-    in
-    (try
-       for i = 1 to steps do
-         raise_requests t;
-         match Sim.Engine.step t daemon with
-         | None ->
-             print_endline "(terminal configuration reached)";
-             raise Exit
-         | Some events ->
-             if i mod every = 0 then
-               print_endline
-                 (Harness.Viz.frame graph (Sim.Engine.net t) ~dest ~step:i
-                    ~moves:(moves_of events))
-       done
-     with Exit -> ());
-    print_endline "caterpillars now:";
-    print_endline (Harness.Viz.caterpillars graph (Sim.Engine.net t) ~dest);
-    0
+    if dest < 0 || dest >= n then
+      usage_error (Printf.sprintf "dest %d out of range" dest)
+    else if every <= 0 then usage_error "--every must be positive"
+    else if steps < 0 then usage_error "--steps must be non-negative"
+    else begin
+      let master = Prng.Splitmix.of_int seed in
+      let fault_rng = Prng.Splitmix.split master in
+      let daemon_rng = Prng.Splitmix.split master in
+      let wl_rng = Prng.Splitmix.split master in
+      let workload = Harness.Workload.uniform_random wl_rng ~n ~per_processor:1 in
+      let spec = Spec.fault_spec corruption ~seed in
+      let protocol = Ssmfp.Protocol.make graph in
+      let t =
+        Sim.Engine.make ~graph ~protocol (fun p ->
+            Harness.Fault.initial_states ~rng:fault_rng spec graph ~workload p)
+      in
+      let daemon = Sim.Daemon.distributed_random daemon_rng in
+      Printf.printf "%s, %s corruption, watching destination %d\n"
+        topology.Spec.t_name
+        (Spec.corruption_to_string corruption)
+        dest;
+      print_endline
+        (Harness.Viz.frame graph (Sim.Engine.net t) ~dest ~step:0 ~moves:[]);
+      let moves_of events =
+        List.filter_map
+          (fun (pid, ev) ->
+            match ev with
+            | Ssmfp.Protocol.Routing_update d when d = dest ->
+                Some (Printf.sprintf "p%d:RA" pid)
+            | Ssmfp.Protocol.Generated (_, d)
+            | Ssmfp.Protocol.Internal_forward (_, d)
+            | Ssmfp.Protocol.Copied (_, _, d)
+            | Ssmfp.Protocol.Erased_after_forward (_, d)
+            | Ssmfp.Protocol.Erased_duplicate (_, d)
+              when d = dest ->
+                Some (Printf.sprintf "p%d" pid)
+            | Ssmfp.Protocol.Delivered _ when pid = dest ->
+                Some (Printf.sprintf "p%d:deliver" pid)
+            | _ -> None)
+          events
+      in
+      let raise_requests t =
+        Topology.Graph.iter_vertices
+          (fun p ->
+            let st = Sim.Engine.state t p in
+            if (not st.Ssmfp.State.request) && st.Ssmfp.State.outbox <> [] then
+              Sim.Engine.set_state t p { st with Ssmfp.State.request = true })
+          graph
+      in
+      (try
+         for i = 1 to steps do
+           raise_requests t;
+           match Sim.Engine.step t daemon with
+           | None ->
+               print_endline "(terminal configuration reached)";
+               raise Exit
+           | Some events ->
+               if i mod every = 0 then
+                 print_endline
+                   (Harness.Viz.frame graph (Sim.Engine.net t) ~dest ~step:i
+                      ~moves:(moves_of events))
+         done
+       with Exit -> ());
+      print_endline "caterpillars now:";
+      print_endline (Harness.Viz.caterpillars graph (Sim.Engine.net t) ~dest);
+      0
+    end
   in
   Cmd.v
     (Cmd.info "watch"
        ~doc:"Step a run and render one destination's buffers after each step.")
-    Term.(const run $ topology_arg $ corruption $ dest $ steps $ every $ seed)
+    Term.(
+      const run $ topology_arg
+      $ corruption_arg Spec.Adversarial
+      $ dest $ steps $ every $ seed_arg)
 
 (* ---------------- pif command ---------------- *)
 
@@ -540,11 +613,8 @@ let pif_cmd =
   let corrupted =
     Arg.(value & flag & info [ "corrupted" ] ~doc:"Random initial phases.")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
-  in
-  let run (name, graph) waves root corrupted seed =
-    match Pif.tree_of graph ~root with
+  let run (topology : Spec.topology) waves root corrupted seed =
+    match Pif.tree_of topology.Spec.graph ~root with
     | exception Invalid_argument msg ->
         Printf.eprintf "%s (pif needs a tree topology, e.g. path:5, btree:7)\n" msg;
         2
@@ -560,14 +630,15 @@ let pif_cmd =
         in
         Printf.printf
           "%s root %d: %d waves completed in %d rounds (%d steps); coverage %s\n"
-          name root r.Pif.waves_completed r.Pif.rounds r.Pif.steps
+          topology.Spec.t_name root r.Pif.waves_completed r.Pif.rounds
+          r.Pif.steps
           (if r.Pif.coverage_ok then "ok" else "VIOLATED");
         if r.Pif.coverage_ok && r.Pif.waves_completed >= waves then 0 else 1
   in
   Cmd.v
     (Cmd.info "pif"
        ~doc:"Run the companion snap-stabilizing PIF protocol on a tree.")
-    Term.(const run $ topology_arg $ waves $ root $ corrupted $ seed)
+    Term.(const run $ topology_arg $ waves $ root $ corrupted $ seed_arg)
 
 (* ---------------- mc command ---------------- *)
 
@@ -582,15 +653,6 @@ let mc_cmd =
     Arg.(
       value & opt int 2000
       & info [ "samples" ] ~docv:"N" ~doc:"Initial configurations for 3chain.")
-  in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"W"
-          ~doc:
-            "Work-stealing worker domains for the safety search; 0 \
-             autodetects (one less than the recommended domain count). \
-             The report is identical for any worker count.")
   in
   let no_por =
     Arg.(
@@ -630,7 +692,6 @@ let mc_cmd =
           (sc, Mc.Explore.sample_initials (Prng.Splitmix.of_int 5) ~count:samples sc)
     in
     Printf.printf "initial configurations: %d\n%!" (List.length inits);
-    let workers = Mc.Par.effective_workers workers in
     let prof = make_prof ~profile ~prof_summary ~tracks:workers in
     let sr =
       Mc.Explore.check_safety ~workers ~por:(not no_por) ~key ~prof sc inits
@@ -670,122 +731,26 @@ let mc_cmd =
   Cmd.v
     (Cmd.info "mc" ~doc:"Model-check SP on small networks.")
     Term.(
-      const run $ scenario $ samples $ workers $ no_por $ stats $ key
+      const run $ scenario $ samples $ workers_arg 1 $ no_por $ stats $ key
       $ profile_arg $ prof_summary_arg)
 
 (* ---------------- chaos command ---------------- *)
 
 let chaos_cmd =
-  let schedule_conv =
-    Arg.conv
-      ( (fun s ->
-          match Chaos.Schedule.of_string s with
-          | Ok v -> Ok v
-          | Error e -> Error (`Msg e)),
-        fun fmt t -> Format.pp_print_string fmt (Chaos.Schedule.to_string t) )
-  in
-  let schedule =
-    Arg.(
-      value
-      & opt schedule_conv (Campaign.Spec.chaos_exn "10:rbqf:all")
-      & info [ "schedule" ] ~docv:"SPEC"
-          ~doc:
-            "Fault schedule: bursts joined by '+', each \
-             <round>:<domains>:<victims> with domains from r(outing) \
-             b(uffers) q(ueues) f(lags) c(rash) and victims a count or \
-             'all'; optional '@' modifiers (mp model only): a channel \
-             preset '@lossy' or '@flaky', '@win=<k>' (sliding-window \
-             retransmission) and '@ps=<delta>:<gst>' (partial \
-             synchrony). Example: 10:rbqf:all+40:c:2@lossy@win=8. \
-             'none' disables faults.")
-  in
-  let model =
-    Arg.(
-      value
-      & opt (enum [ ("state", `State); ("mp", `Mp) ]) `State
-      & info [ "model" ] ~docv:"MODEL"
-          ~doc:
-            "Execution model: state (shared-memory engine, burst rounds are \
-             engine rounds) or mp (message-passing synchronizer, burst \
-             rounds are pulses).")
-  in
-  let corruption =
-    Arg.(
-      value
-      & opt corruption_conv ("adversarial", Harness.Fault.adversarial)
-      & info [ "c"; "corruption" ] ~docv:"LEVEL"
-          ~doc:"Initial configuration: pristine, random or adversarial.")
-  in
-  let daemon =
-    Arg.(
-      value
-      & opt daemon_conv Harness.Runner.Synchronous
-      & info [ "d"; "daemon" ] ~docv:"DAEMON"
-          ~doc:"Scheduler for the state model (ignored by mp).")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
-  in
-  let messages =
-    Arg.(
-      value & opt int 2
-      & info [ "m"; "messages" ] ~docv:"K"
-          ~doc:"Messages per processor (uniform random destinations).")
-  in
-  let aftermath =
-    Arg.(
-      value & opt int 4
-      & info [ "aftermath" ] ~docv:"K"
-          ~doc:
-            "Fresh requests submitted right after the last burst, so the \
-             post-burst exactly-once check always has traffic.")
-  in
   let channel_garbage =
     Arg.(
       value & opt int 0
       & info [ "channel-garbage" ] ~docv:"K"
           ~doc:"Forged messages pre-loaded into the mp channels.")
   in
-  let max_steps =
-    Arg.(
-      value & opt int 2_000_000
-      & info [ "max-steps" ] ~docv:"N"
-          ~doc:"Step budget (state) / per-segment delivery budget (mp).")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write a machine-readable chaos summary to $(docv).")
-  in
-  let journal_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "State model only: write the event journal (including \
-             fault_injected events) to $(docv) as JSONL.")
-  in
   let snapshot_every =
     Arg.(
-      value & opt int 0
+      value & opt snapshot_conv 0
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
             "Mp model only: initiate an in-band Chandy–Lamport snapshot \
              every $(docv) channel deliveries and check the cut oracle \
              online; 0 (default) disables the layer entirely.")
-  in
-  let cut_journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cut-journal" ] ~docv:"FILE"
-          ~doc:
-            "With --snapshot-every: stream one snapshot_cut JSONL line \
-             per completed cut (epoch, initiator, fingerprint, clock) to \
-             $(docv) as cuts are harvested.")
   in
   let report_lines (r : Chaos.Recovery.report) =
     Printf.printf "bursts fired: %s\n"
@@ -808,17 +773,70 @@ let chaos_cmd =
      else Printf.printf "recovery    : never re-reached quiescence\n");
     Printf.printf "chaos check : %s\n"
       (if r.Chaos.Recovery.ok then "recovery oracle satisfied"
-       else "VIOLATED — " ^ String.concat "; " r.Chaos.Recovery.violations)
+       else violated r.Chaos.Recovery.violations)
   in
-  let chaos_json ~name ~model ~schedule ~fired ~seed
-      ~(report : Chaos.Recovery.report) ~sp_ok ~verdict_ok extra =
+  let print_faults ~unit fired aftermath_submitted =
+    Printf.printf "faults      : %s\n"
+      (if fired = [] then "none fired"
+       else
+         String.concat ", "
+           (List.map
+              (fun (at, victims) ->
+                Printf.sprintf "%s %d -> %d victim(s)" unit at victims)
+              fired));
+    Printf.printf "aftermath   : %d probe request(s)\n" aftermath_submitted
+  in
+  let mp_json_fields (o : Chaos.Mp_run.outcome) =
+    let open Obs.Json in
+    let ch = o.Chaos.Mp_run.channel in
+    [
+      ( "channel",
+        Obj
+          [
+            ("delivered", Int ch.Mp.Ssmfp_mp.delivered);
+            ("lost", Int ch.Mp.Ssmfp_mp.lost);
+            ("duplicated", Int ch.Mp.Ssmfp_mp.duplicated);
+            ("reordered", Int ch.Mp.Ssmfp_mp.reordered);
+            ("dropped_while_down", Int ch.Mp.Ssmfp_mp.dropped_while_down);
+          ] );
+      ("window", Int o.Chaos.Mp_run.window);
+      ("window_retransmits", Int o.Chaos.Mp_run.window_retransmits);
+      ("deliveries", Int o.Chaos.Mp_run.channel_deliveries);
+      ("max_pulse", Int o.Chaos.Mp_run.max_pulse);
+    ]
+    @
+    match o.Chaos.Mp_run.snapshot with
+    | None -> []
+    | Some s ->
+        [
+          ( "snapshot",
+            Obj
+              [
+                ("every", Int s.Chaos.Mp_run.snapshot_every);
+                ("epochs", Int s.Chaos.Mp_run.epochs);
+                ("cuts", Int s.Chaos.Mp_run.cuts);
+                ("consistent", Int s.Chaos.Mp_run.consistent);
+                ("shadow_ok", Int s.Chaos.Mp_run.shadow_ok);
+                ("abandoned", Int s.Chaos.Mp_run.abandoned);
+                ("markers_resent", Int s.Chaos.Mp_run.markers_resent);
+                ("cut_agrees", Bool s.Chaos.Mp_run.cut_agrees);
+                ( "online_violations",
+                  List
+                    (List.map
+                       (fun v -> String v)
+                       s.Chaos.Mp_run.online_violations) );
+              ] );
+        ]
+  in
+  let chaos_json (sc : Spec.scenario) ~fired ~(report : Chaos.Recovery.report)
+      ~sp_ok ~verdict_ok extra =
     let open Obs.Json in
     Obj
       ([
-         ("topology", String name);
-         ("model", String model);
-         ("schedule", String (Chaos.Schedule.to_string schedule));
-         ("seed", Int seed);
+         ("topology", String sc.Spec.topology.Spec.t_name);
+         ("model", String (Spec.model_to_string sc.Spec.model));
+         ("schedule", String (Chaos.Schedule.to_string sc.Spec.chaos));
+         ("seed", Int sc.Spec.seed);
          ( "fired",
            List
              (List.map
@@ -831,169 +849,56 @@ let chaos_cmd =
        ]
       @ extra)
   in
-  let write_json path doc =
-    let oc = open_out path in
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "summary     : %s\n" path
-  in
-  let run (name, graph) schedule model (spec_name, spec) daemon seed messages
-      aftermath channel_garbage max_steps json_file journal_file snapshot_every
-      cut_journal window delta gst profile prof_summary =
-    match synchrony_of_flags ~delta ~gst with
-    | Error m ->
-        Printf.eprintf "ssmfp_cli chaos: %s\n" m;
-        2
-    | Ok synchrony ->
-    let n = Topology.Graph.n graph in
-    let rng = Prng.Splitmix.of_int (seed + 7919) in
-    let workload =
-      Harness.Workload.uniform_random rng ~n ~per_processor:messages
-    in
-    Printf.printf "topology    : %s (n=%d, Δ=%d, D=%d)\n" name n
-      (Topology.Graph.max_degree graph)
-      (Topology.Metrics.diameter graph);
-    Printf.printf "schedule    : %s\n" (Chaos.Schedule.to_string schedule);
-    Printf.printf "corruption  : %s\n" spec_name;
+  let run sc channel_garbage json_file journal_file cut_journal profile
+      prof_summary =
+    guard_artifacts @@ fun () ->
+    print_scenario_header sc;
     let prof = make_prof ~profile ~prof_summary ~tracks:1 in
-    try
-      match model with
-      | `State ->
-          let cfg =
-            Harness.Runner.config ~spec ~daemon ~seed ~max_steps graph workload
-          in
-          let obs =
-            if json_file <> None || journal_file <> None then
-              Some
-                (Obs.Sink.create
-                   ~with_journal:(journal_file <> None)
-                   ?journal_path:journal_file ())
-            else None
-          in
-          (* The journal streams to disk as events are recorded; closing
-             in a [finally] means a crashed run keeps its partial JSONL. *)
-          let o =
-            Fun.protect
-              ~finally:(fun () -> Option.iter Obs.Sink.close obs)
-              (fun () -> Chaos.Runner.run ?obs ~prof ~aftermath ~schedule cfg)
-          in
+    (* The event journal is a state-model export, the cut journal an
+       mp-with-snapshots one. *)
+    let mp = sc.Spec.model = Spec.Mp_model in
+    let (x, journal), cuts =
+      with_cut_journal
+        (if mp && sc.Spec.snapshot > 0 then cut_journal else None)
+        (fun on_cut ->
+          with_sink ~json_file
+            ~journal_file:(if mp then None else journal_file)
+            (fun obs -> Pool.execute ?obs ~prof ~on_cut ~channel_garbage sc))
+    in
+    let report, fired, sp_ok, extra_json =
+      match x.Pool.run with
+      | Pool.State o ->
           let r = o.Chaos.Runner.run in
           Printf.printf "model       : state (%s daemon)\n"
-            (Harness.Runner.daemon_kind_to_string daemon);
+            (Harness.Runner.daemon_kind_to_string sc.Spec.daemon);
           Printf.printf "outcome     : %s after %d steps / %d rounds\n"
             (match r.Harness.Runner.outcome with
             | `Quiescent -> "quiescent"
             | `Max_steps -> "step budget exhausted")
             r.Harness.Runner.stats.Sim.Engine.steps
             r.Harness.Runner.stats.Sim.Engine.rounds;
-          Printf.printf "faults      : %s\n"
-            (if o.Chaos.Runner.fired = [] then "none fired"
-             else
-               String.concat ", "
-                 (List.map
-                    (fun (round, victims) ->
-                      Printf.sprintf "round %d -> %d victim(s)" round victims)
-                    o.Chaos.Runner.fired));
-          if aftermath > 0 then
-            Printf.printf "aftermath   : %d probe request(s)\n"
-              o.Chaos.Runner.aftermath_submitted;
-          report_lines o.Chaos.Runner.report;
-          let verdict_ok, violations, _ =
-            Campaign.Pool.chaos_verdict ~schedule
-              ~verdict:o.Chaos.Runner.sp_verdict ~report:o.Chaos.Runner.report
-          in
-          Printf.printf "verdict     : %s\n"
-            (if verdict_ok then "ok"
-             else "VIOLATED — " ^ String.concat "; " violations);
-          (match (journal_file, Option.map Obs.Sink.journal obs) with
-          | Some path, Some (Some j) ->
-              Printf.printf "journal     : %d events -> %s\n"
-                (Obs.Journal.length j) path
-          | _ -> ());
-          (match json_file with
-          | None -> ()
-          | Some path ->
-              write_json path
-                (chaos_json ~name ~model:"state" ~schedule
-                   ~fired:o.Chaos.Runner.fired ~seed ~report:o.Chaos.Runner.report
-                   ~sp_ok:o.Chaos.Runner.sp_verdict.Harness.Oracle.ok ~verdict_ok
-                   []));
-          emit_prof ~profile ~prof_summary prof;
-          if verdict_ok then 0 else 1
-      | `Mp ->
-          let cut_j =
-            match cut_journal with
-            | Some path when snapshot_every > 0 ->
-                Some (Obs.Journal.create ~path ())
-            | _ -> None
-          in
-          let on_cut =
-            Option.map
-              (fun j (c : Snapshot.Ssmfp_link.cut) ->
-                Obs.Journal.record_cut j ~step:c.Snapshot.Cut.completed_at
-                  ~epoch:c.Snapshot.Cut.epoch
-                  ~initiator:c.Snapshot.Cut.initiator
-                  ~fingerprint:(Snapshot.Ssmfp_link.fingerprint_hex c))
-              cut_j
-          in
-          let o =
-            Fun.protect
-              ~finally:(fun () -> Option.iter Obs.Journal.close cut_j)
-              (fun () ->
-                Chaos.Mp_run.run ~spec ~channel_garbage ~seed
-                  ~max_deliveries:max_steps ~aftermath ~snapshot_every ?on_cut
-                  ~prof ?window ?synchrony ~schedule graph workload)
-          in
+          print_faults ~unit:"round" o.Chaos.Runner.fired
+            o.Chaos.Runner.aftermath_submitted;
+          ( o.Chaos.Runner.report,
+            o.Chaos.Runner.fired,
+            o.Chaos.Runner.sp_verdict.Harness.Oracle.ok,
+            [] )
+      | Pool.Mp o ->
           Printf.printf "model       : mp (α-synchronizer port)\n";
-          let eff_window =
-            match window with
-            | Some w -> w
-            | None -> schedule.Chaos.Schedule.window
-          in
-          let eff_sync =
-            match synchrony with
-            | Some _ -> synchrony
-            | None -> schedule.Chaos.Schedule.synchrony
-          in
           Printf.printf "retransmit  : %s%s\n"
-            (if eff_window > 0 then
-               Printf.sprintf "sliding window (w=%d)" eff_window
+            (if o.Chaos.Mp_run.window > 0 then
+               Printf.sprintf "sliding window (w=%d)" o.Chaos.Mp_run.window
              else "exponential backoff")
-            (match eff_sync with
+            (match sc.Spec.chaos.Chaos.Schedule.synchrony with
             | None -> ""
             | Some sy ->
                 Printf.sprintf ", partial synchrony Δ=%d GST=%d"
                   (Mp.Synchrony.delta sy) (Mp.Synchrony.gst sy));
-          Printf.printf "outcome     : %s after %d deliveries / %d pulses%s\n"
-            (match o.Chaos.Mp_run.mp_outcome with
-            | `All_done -> "all drained"
-            | `Max_deliveries -> "delivery budget exhausted")
-            o.Chaos.Mp_run.channel_deliveries o.Chaos.Mp_run.max_pulse
-            (if o.Chaos.Mp_run.window > 0 then
-               Printf.sprintf " / %d window retransmissions"
-                 o.Chaos.Mp_run.window_retransmits
-             else "");
-          let ch = o.Chaos.Mp_run.channel in
-          Printf.printf
-            "channel     : %d delivered, %d lost, %d duplicated, %d reordered, %d dropped at down processes\n"
-            ch.Mp.Ssmfp_mp.delivered ch.Mp.Ssmfp_mp.lost
-            ch.Mp.Ssmfp_mp.duplicated ch.Mp.Ssmfp_mp.reordered
-            ch.Mp.Ssmfp_mp.dropped_while_down;
-          Printf.printf "faults      : %s\n"
-            (if o.Chaos.Mp_run.fired = [] then "none fired"
-             else
-               String.concat ", "
-                 (List.map
-                    (fun (pulse, victims) ->
-                      Printf.sprintf "pulse %d -> %d victim(s)" pulse victims)
-                    o.Chaos.Mp_run.fired));
-          if aftermath > 0 then
-            Printf.printf "aftermath   : %d probe request(s)\n"
-              o.Chaos.Mp_run.aftermath_submitted;
-          (match o.Chaos.Mp_run.snapshot with
-          | None -> ()
-          | Some s ->
+          print_mp_outcome o;
+          print_faults ~unit:"pulse" o.Chaos.Mp_run.fired
+            o.Chaos.Mp_run.aftermath_submitted;
+          Option.iter
+            (fun (s : Chaos.Mp_run.snapshot_outcome) ->
               Printf.printf
                 "snapshots   : %d cuts / %d epochs every %d deliveries (%d \
                  consistent, %d shadow-ok, %d abandoned, %d markers resent)\n"
@@ -1007,95 +912,32 @@ let chaos_cmd =
                  else "verdict DISAGREES with the omniscient oracle")
                 (match s.Chaos.Mp_run.online_violations with
                 | [] -> ""
-                | v -> "; online flags: " ^ String.concat "; " v));
-          report_lines o.Chaos.Mp_run.report;
-          let verdict_ok, violations, _ =
-            Campaign.Pool.chaos_verdict ~schedule ~verdict:o.Chaos.Mp_run.verdict
-              ~report:o.Chaos.Mp_run.report
-          in
-          (* With the layer on, the in-band view must corroborate the
-             omniscient verdict for the run to count as ok. *)
-          let verdict_ok, violations =
-            match o.Chaos.Mp_run.snapshot with
-            | None -> (verdict_ok, violations)
-            | Some s ->
-                let extra =
-                  (if s.Chaos.Mp_run.cut_agrees then []
-                   else [ "cut-oracle verdict disagrees with the omniscient one" ])
-                  @ s.Chaos.Mp_run.online_violations
-                in
-                (verdict_ok && extra = [], violations @ extra)
-          in
-          Printf.printf "verdict     : %s\n"
-            (if verdict_ok then "ok"
-             else "VIOLATED — " ^ String.concat "; " violations);
-          (match (cut_journal, cut_j) with
-          | Some path, Some j ->
-              Printf.printf "cut journal : %d cuts -> %s\n"
-                (Obs.Journal.length j) path
-          | _ -> ());
-          let snapshot_json_fields =
-            match o.Chaos.Mp_run.snapshot with
-            | None -> []
-            | Some s ->
-                [
-                  ( "snapshot",
-                    Obs.Json.Obj
-                      [
-                        ("every", Obs.Json.Int s.Chaos.Mp_run.snapshot_every);
-                        ("epochs", Obs.Json.Int s.Chaos.Mp_run.epochs);
-                        ("cuts", Obs.Json.Int s.Chaos.Mp_run.cuts);
-                        ("consistent", Obs.Json.Int s.Chaos.Mp_run.consistent);
-                        ("shadow_ok", Obs.Json.Int s.Chaos.Mp_run.shadow_ok);
-                        ("abandoned", Obs.Json.Int s.Chaos.Mp_run.abandoned);
-                        ( "markers_resent",
-                          Obs.Json.Int s.Chaos.Mp_run.markers_resent );
-                        ("cut_agrees", Obs.Json.Bool s.Chaos.Mp_run.cut_agrees);
-                        ( "online_violations",
-                          Obs.Json.List
-                            (List.map
-                               (fun v -> Obs.Json.String v)
-                               s.Chaos.Mp_run.online_violations) );
-                      ] );
-                ]
-          in
-          (match json_file with
-          | None -> ()
-          | Some path ->
-              write_json path
-                (chaos_json ~name ~model:"mp" ~schedule ~fired:o.Chaos.Mp_run.fired
-                   ~seed ~report:o.Chaos.Mp_run.report
-                   ~sp_ok:o.Chaos.Mp_run.verdict.Harness.Oracle.ok ~verdict_ok
-                   ([
-                      ( "channel",
-                        Obs.Json.Obj
-                          [
-                            ("delivered", Obs.Json.Int ch.Mp.Ssmfp_mp.delivered);
-                            ("lost", Obs.Json.Int ch.Mp.Ssmfp_mp.lost);
-                            ("duplicated", Obs.Json.Int ch.Mp.Ssmfp_mp.duplicated);
-                            ("reordered", Obs.Json.Int ch.Mp.Ssmfp_mp.reordered);
-                            ( "dropped_while_down",
-                              Obs.Json.Int ch.Mp.Ssmfp_mp.dropped_while_down );
-                          ] );
-                      ("window", Obs.Json.Int o.Chaos.Mp_run.window);
-                      ( "window_retransmits",
-                        Obs.Json.Int o.Chaos.Mp_run.window_retransmits );
-                      ("deliveries", Obs.Json.Int o.Chaos.Mp_run.channel_deliveries);
-                      ("max_pulse", Obs.Json.Int o.Chaos.Mp_run.max_pulse);
-                    ]
-                   @ snapshot_json_fields)));
-          emit_prof ~profile ~prof_summary prof;
-          if verdict_ok then 0 else 1
-    with Sys_error msg ->
-      Printf.eprintf "ssmfp_cli: cannot write artifact: %s\n" msg;
-      2
+                | v -> "; online flags: " ^ String.concat "; " v))
+            o.Chaos.Mp_run.snapshot;
+          ( o.Chaos.Mp_run.report,
+            o.Chaos.Mp_run.fired,
+            o.Chaos.Mp_run.verdict.Harness.Oracle.ok,
+            mp_json_fields o )
+    in
+    report_lines report;
+    Printf.printf "verdict     : %s\n"
+      (if x.Pool.verdict_ok then "ok" else violated x.Pool.violations);
+    print_journal "journal" "events" journal;
+    print_journal "cut journal" "cuts" cuts;
+    Option.iter
+      (fun path ->
+        write_json path
+          (chaos_json sc ~fired ~report ~sp_ok ~verdict_ok:x.Pool.verdict_ok
+             extra_json))
+      json_file;
+    emit_prof ~profile ~prof_summary prof;
+    if x.Pool.verdict_ok then 0 else 1
   in
-  let term =
-    Term.(
-      const run $ topology_arg $ schedule $ model $ corruption $ daemon $ seed
-      $ messages $ aftermath $ channel_garbage $ max_steps $ json_file
-      $ journal_file $ snapshot_every $ cut_journal $ window_arg $ delta_arg
-      $ gst_arg $ profile_arg $ prof_summary_arg)
+  let scenario =
+    scenario_term ~corruption:Spec.Adversarial
+      ~daemon:Harness.Runner.Synchronous ~model:model_arg
+      ~schedule:(schedule_arg (Spec.chaos_exn "10:rbqf:all"))
+      ~snapshot:snapshot_every
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1103,7 +945,9 @@ let chaos_cmd =
          "Strike a running execution with a timed fault schedule and check \
           the recovery oracle (post-burst exactly-once, amortized 2n invalid \
           budget, rounds back to quiescence).")
-    term
+    Term.(
+      const run $ scenario $ channel_garbage $ json_arg $ journal_arg
+      $ cut_journal_arg $ profile_arg $ prof_summary_arg)
 
 (* ---------------- snapshot command ---------------- *)
 
@@ -1111,224 +955,120 @@ let chaos_cmd =
    model with in-band Chandy–Lamport cuts, print each cut as it
    completes, and end on the cut-vs-omniscient verdict comparison. *)
 let snapshot_cmd =
-  let schedule_conv =
-    Arg.conv
-      ( (fun s ->
-          match Chaos.Schedule.of_string s with
-          | Ok v -> Ok v
-          | Error e -> Error (`Msg e)),
-        fun fmt t -> Format.pp_print_string fmt (Chaos.Schedule.to_string t) )
-  in
-  let schedule =
-    Arg.(
-      value
-      & opt schedule_conv Chaos.Schedule.none
-      & info [ "schedule" ] ~docv:"SPEC"
-          ~doc:
-            "Fault schedule running under the snapshots (chaos grammar), \
-             e.g. none@lossy or 8:rb:2@flaky. 'none' keeps the channel \
-             reliable.")
-  in
-  let corruption =
-    Arg.(
-      value
-      & opt corruption_conv ("pristine", Harness.Fault.pristine)
-      & info [ "c"; "corruption" ] ~docv:"LEVEL"
-          ~doc:"Initial configuration: pristine, random or adversarial.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
-  in
   let every =
     Arg.(
       value & opt int 400
       & info [ "every" ] ~docv:"N"
           ~doc:"Initiate a snapshot epoch every $(docv) channel deliveries.")
   in
-  let messages =
-    Arg.(
-      value & opt int 2
-      & info [ "m"; "messages" ] ~docv:"K"
-          ~doc:"Messages per processor (uniform random destinations).")
+  let print_cut (c : Snapshot.Ssmfp_link.cut) =
+    Printf.printf
+      "cut         : epoch=%-3d initiator=%-3d latency=%-5d in-flight=%-3d fp=%s%s%s\n"
+      c.Snapshot.Cut.epoch c.Snapshot.Cut.initiator
+      (Snapshot.Cut.latency c)
+      (Snapshot.Cut.in_flight c)
+      (Snapshot.Ssmfp_link.fingerprint_hex c)
+      (if Snapshot.Cut.shadow_ok c then "" else " SHADOW-MISMATCH")
+      (if Snapshot.Ssmfp_link.consistent c then "" else " INCONSISTENT")
   in
-  let max_steps =
-    Arg.(
-      value & opt int 2_000_000
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-segment delivery budget.")
+  let snapshot_json (sc : Spec.scenario) (o : Chaos.Mp_run.outcome)
+      (s : Chaos.Mp_run.snapshot_outcome) cuts =
+    let open Obs.Json in
+    Obj
+      [
+        ("topology", String sc.Spec.topology.Spec.t_name);
+        ("schedule", String (Chaos.Schedule.to_string sc.Spec.chaos));
+        ("corruption", String (Spec.corruption_to_string sc.Spec.corruption));
+        ("seed", Int sc.Spec.seed);
+        ("every", Int sc.Spec.snapshot);
+        ( "outcome",
+          String
+            (match o.Chaos.Mp_run.mp_outcome with
+            | `All_done -> "all_done"
+            | `Max_deliveries -> "max_deliveries") );
+        ("deliveries", Int o.Chaos.Mp_run.channel_deliveries);
+        ("epochs", Int s.Chaos.Mp_run.epochs);
+        ("cuts_completed", Int s.Chaos.Mp_run.cuts);
+        ("consistent", Int s.Chaos.Mp_run.consistent);
+        ("shadow_ok", Int s.Chaos.Mp_run.shadow_ok);
+        ("abandoned", Int s.Chaos.Mp_run.abandoned);
+        ("markers_resent", Int s.Chaos.Mp_run.markers_resent);
+        ("cut_agrees", Bool s.Chaos.Mp_run.cut_agrees);
+        ( "online_violations",
+          List (List.map (fun v -> String v) s.Chaos.Mp_run.online_violations)
+        );
+        ("cuts", List (List.rev_map Snapshot.Ssmfp_link.cut_to_json cuts));
+      ]
   in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write a machine-readable snapshot summary (including every \
-             cut) to $(docv).")
-  in
-  let cut_journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cut-journal" ] ~docv:"FILE"
-          ~doc:
-            "Stream one snapshot_cut JSONL line per completed cut to \
-             $(docv) as cuts are harvested.")
-  in
-  let run (name, graph) schedule (spec_name, spec) seed every messages
-      max_steps json_file cut_journal window delta gst =
-    match synchrony_of_flags ~delta ~gst with
-    | Error m ->
-        Printf.eprintf "ssmfp_cli snapshot: %s\n" m;
-        2
-    | Ok synchrony ->
-    if every <= 0 then begin
+  let run sc json_file cut_journal =
+    if sc.Spec.snapshot <= 0 then begin
       Printf.eprintf "ssmfp_cli snapshot: --every must be positive\n";
       2
     end
-    else begin
-      let n = Topology.Graph.n graph in
-      let rng = Prng.Splitmix.of_int (seed + 7919) in
-      let workload =
-        Harness.Workload.uniform_random rng ~n ~per_processor:messages
-      in
-      Printf.printf "topology    : %s (n=%d, Δ=%d, D=%d)\n" name n
-        (Topology.Graph.max_degree graph)
-        (Topology.Metrics.diameter graph);
-      Printf.printf "schedule    : %s\n" (Chaos.Schedule.to_string schedule);
-      Printf.printf "corruption  : %s\n" spec_name;
-      Printf.printf "snapshots   : every %d channel deliveries\n" every;
-      let aftermath = if schedule.Chaos.Schedule.bursts = [] then 0 else 4 in
-      let cut_j = Option.map (fun path -> Obs.Journal.create ~path ()) cut_journal in
+    else
+      guard_artifacts @@ fun () ->
+      print_scenario_header sc;
+      Printf.printf "snapshots   : every %d channel deliveries\n"
+        sc.Spec.snapshot;
       let cuts_seen = ref [] in
-      let on_cut (c : Snapshot.Ssmfp_link.cut) =
-        cuts_seen := c :: !cuts_seen;
-        Printf.printf
-          "cut         : epoch=%-3d initiator=%-3d latency=%-5d in-flight=%-3d fp=%s%s%s\n"
-          c.Snapshot.Cut.epoch c.Snapshot.Cut.initiator
-          (Snapshot.Cut.latency c)
-          (Snapshot.Cut.in_flight c)
-          (Snapshot.Ssmfp_link.fingerprint_hex c)
-          (if Snapshot.Cut.shadow_ok c then "" else " SHADOW-MISMATCH")
-          (if Snapshot.Ssmfp_link.consistent c then "" else " INCONSISTENT");
-        Option.iter
-          (fun j ->
-            Obs.Journal.record_cut j ~step:c.Snapshot.Cut.completed_at
-              ~epoch:c.Snapshot.Cut.epoch ~initiator:c.Snapshot.Cut.initiator
-              ~fingerprint:(Snapshot.Ssmfp_link.fingerprint_hex c))
-          cut_j
+      let x, cuts =
+        with_cut_journal cut_journal (fun record ->
+            let on_cut c =
+              cuts_seen := c :: !cuts_seen;
+              print_cut c;
+              record c
+            in
+            Pool.execute ~on_cut ~channel_garbage:0 sc)
       in
-      try
-        let o =
-          Fun.protect
-            ~finally:(fun () -> Option.iter Obs.Journal.close cut_j)
-            (fun () ->
-              Chaos.Mp_run.run ~spec ~seed ~max_deliveries:max_steps ~aftermath
-                ~snapshot_every:every ~on_cut ?window ?synchrony ~schedule
-                graph workload)
-        in
-        Printf.printf "outcome     : %s after %d deliveries / %d pulses\n"
-          (match o.Chaos.Mp_run.mp_outcome with
-          | `All_done -> "all drained"
-          | `Max_deliveries -> "delivery budget exhausted")
-          o.Chaos.Mp_run.channel_deliveries o.Chaos.Mp_run.max_pulse;
-        let ch = o.Chaos.Mp_run.channel in
-        Printf.printf
-          "channel     : %d delivered, %d lost, %d duplicated, %d reordered, %d dropped at down processes\n"
-          ch.Mp.Ssmfp_mp.delivered ch.Mp.Ssmfp_mp.lost
-          ch.Mp.Ssmfp_mp.duplicated ch.Mp.Ssmfp_mp.reordered
-          ch.Mp.Ssmfp_mp.dropped_while_down;
-        match o.Chaos.Mp_run.snapshot with
-        | None ->
-            Printf.eprintf "ssmfp_cli snapshot: layer did not attach\n";
-            2
-        | Some s ->
-            Printf.printf
-              "cuts        : %d over %d epochs (%d consistent, %d shadow-ok, \
-               %d abandoned, %d markers resent)\n"
-              s.Chaos.Mp_run.cuts s.Chaos.Mp_run.epochs
-              s.Chaos.Mp_run.consistent s.Chaos.Mp_run.shadow_ok
-              s.Chaos.Mp_run.abandoned s.Chaos.Mp_run.markers_resent;
-            (match s.Chaos.Mp_run.relegitimacy_bracket with
-            | None -> ()
-            | Some (lo, hi) ->
-                Printf.printf
-                  "relegitimacy: invalid deliveries stopped growing within \
-                   pulses (%d, %s]\n"
-                  lo
-                  (match hi with Some h -> string_of_int h | None -> "∞"));
-            (match s.Chaos.Mp_run.online_violations with
-            | [] -> Printf.printf "cut oracle  : no online violations\n"
-            | v ->
-                Printf.printf "cut oracle  : ONLINE FLAGS — %s\n"
-                  (String.concat "; " v));
-            Printf.printf "cut verdict : %s\n"
-              (if s.Chaos.Mp_run.cut_agrees then
-                 "agrees with the omniscient oracle"
-               else "DISAGREES with the omniscient oracle");
-            (match (cut_journal, cut_j) with
-            | Some path, Some j ->
-                Printf.printf "cut journal : %d cuts -> %s\n"
-                  (Obs.Journal.length j) path
-            | _ -> ());
-            (match json_file with
-            | None -> ()
-            | Some path ->
-                let doc =
-                  Obs.Json.Obj
-                    [
-                      ("topology", Obs.Json.String name);
-                      ( "schedule",
-                        Obs.Json.String (Chaos.Schedule.to_string schedule) );
-                      ("corruption", Obs.Json.String spec_name);
-                      ("seed", Obs.Json.Int seed);
-                      ("every", Obs.Json.Int every);
-                      ( "outcome",
-                        Obs.Json.String
-                          (match o.Chaos.Mp_run.mp_outcome with
-                          | `All_done -> "all_done"
-                          | `Max_deliveries -> "max_deliveries") );
-                      ( "deliveries",
-                        Obs.Json.Int o.Chaos.Mp_run.channel_deliveries );
-                      ("epochs", Obs.Json.Int s.Chaos.Mp_run.epochs);
-                      ("cuts_completed", Obs.Json.Int s.Chaos.Mp_run.cuts);
-                      ("consistent", Obs.Json.Int s.Chaos.Mp_run.consistent);
-                      ("shadow_ok", Obs.Json.Int s.Chaos.Mp_run.shadow_ok);
-                      ("abandoned", Obs.Json.Int s.Chaos.Mp_run.abandoned);
-                      ( "markers_resent",
-                        Obs.Json.Int s.Chaos.Mp_run.markers_resent );
-                      ("cut_agrees", Obs.Json.Bool s.Chaos.Mp_run.cut_agrees);
-                      ( "online_violations",
-                        Obs.Json.List
-                          (List.map
-                             (fun v -> Obs.Json.String v)
-                             s.Chaos.Mp_run.online_violations) );
-                      ( "cuts",
-                        Obs.Json.List
-                          (List.rev_map Snapshot.Ssmfp_link.cut_to_json
-                             !cuts_seen) );
-                    ]
-                in
-                let oc = open_out path in
-                output_string oc (Obs.Json.to_string doc);
-                output_char oc '\n';
-                close_out oc;
-                Printf.printf "summary     : %s\n" path);
-            if
-              s.Chaos.Mp_run.cuts > 0
-              && s.Chaos.Mp_run.cut_agrees
-              && s.Chaos.Mp_run.online_violations = []
-            then 0
-            else 1
-      with Sys_error msg ->
-        Printf.eprintf "ssmfp_cli: cannot write artifact: %s\n" msg;
-        2
-    end
+      let o =
+        match x.Pool.run with
+        | Pool.Mp o -> o
+        | Pool.State _ -> invalid_arg "snapshot: the command fixes the mp model"
+      in
+      print_mp_outcome o;
+      match o.Chaos.Mp_run.snapshot with
+      | None ->
+          Printf.eprintf "ssmfp_cli snapshot: layer did not attach\n";
+          2
+      | Some s ->
+          Printf.printf
+            "cuts        : %d over %d epochs (%d consistent, %d shadow-ok, \
+             %d abandoned, %d markers resent)\n"
+            s.Chaos.Mp_run.cuts s.Chaos.Mp_run.epochs s.Chaos.Mp_run.consistent
+            s.Chaos.Mp_run.shadow_ok s.Chaos.Mp_run.abandoned
+            s.Chaos.Mp_run.markers_resent;
+          (match s.Chaos.Mp_run.relegitimacy_bracket with
+          | None -> ()
+          | Some (lo, hi) ->
+              Printf.printf
+                "relegitimacy: invalid deliveries stopped growing within \
+                 pulses (%d, %s]\n"
+                lo
+                (match hi with Some h -> string_of_int h | None -> "∞"));
+          (match s.Chaos.Mp_run.online_violations with
+          | [] -> Printf.printf "cut oracle  : no online violations\n"
+          | v ->
+              Printf.printf "cut oracle  : ONLINE FLAGS — %s\n"
+                (String.concat "; " v));
+          Printf.printf "cut verdict : %s\n"
+            (if s.Chaos.Mp_run.cut_agrees then
+               "agrees with the omniscient oracle"
+             else "DISAGREES with the omniscient oracle");
+          print_journal "cut journal" "cuts" cuts;
+          Option.iter
+            (fun path -> write_json path (snapshot_json sc o s !cuts_seen))
+            json_file;
+          if
+            s.Chaos.Mp_run.cuts > 0
+            && s.Chaos.Mp_run.cut_agrees
+            && s.Chaos.Mp_run.online_violations = []
+          then 0
+          else 1
   in
-  let term =
-    Term.(
-      const run $ topology_arg $ schedule $ corruption $ seed $ every
-      $ messages $ max_steps $ json_file $ cut_journal $ window_arg
-      $ delta_arg $ gst_arg)
+  let scenario =
+    scenario_term ~corruption:Spec.Pristine ~daemon:Harness.Runner.Synchronous
+      ~model:(Term.const Spec.Mp_model)
+      ~schedule:(schedule_arg Chaos.Schedule.none) ~snapshot:every
   in
   Cmd.v
     (Cmd.info "snapshot"
@@ -1336,7 +1076,7 @@ let snapshot_cmd =
          "Run the message-passing model with in-band Chandy–Lamport \
           snapshots, print each consistent cut as it completes, and compare \
           the cut oracle's verdict against the omniscient one.")
-    term
+    Term.(const run $ scenario $ json_arg $ cut_journal_arg)
 
 (* ---------------- campaign command ---------------- *)
 
@@ -1384,9 +1124,7 @@ let campaign_cmd =
   in
   let topologies =
     let axis =
-      axis_conv ~what:"topology"
-        (fun s -> Spec.topology_of_string s)
-        (fun t -> t.Spec.t_name)
+      axis_conv ~what:"topology" Spec.topology_of_string (fun t -> t.Spec.t_name)
     in
     Arg.(
       value
@@ -1450,12 +1188,7 @@ let campaign_cmd =
   in
   let snapshots =
     let axis =
-      axis_conv ~what:"snapshot interval"
-        (fun s ->
-          match int_of_string_opt (String.trim s) with
-          | Some v when v >= 0 -> Ok v
-          | _ -> Error (Printf.sprintf "bad snapshot interval %S (expected a non-negative delivery count)" s))
-        string_of_int
+      axis_conv ~what:"snapshot interval" Spec.snapshot_of_string string_of_int
     in
     Arg.(
       value
@@ -1483,27 +1216,12 @@ let campaign_cmd =
       & info [ "seeds" ] ~docv:"SPEC"
           ~doc:"Seeds overriding the grid's axis: 1,2,5 or 1..8.")
   in
-  let max_steps =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-scenario step budget.")
-  in
   let only =
     Arg.(
       value
       & opt (some string) None
       & info [ "only" ] ~docv:"SUBSTR"
           ~doc:"Keep only scenarios whose id contains $(docv).")
-  in
-  let workers =
-    Arg.(
-      value
-      & opt int (Campaign.Pool.default_workers ())
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Worker domains (default: recommended domain count, capped at \
-             8). Results are byte-identical whatever the value.")
   in
   let dry_run =
     Arg.(
@@ -1675,7 +1393,8 @@ let campaign_cmd =
   let term =
     Term.(
       const run $ grid_base $ topologies $ corruptions $ daemons $ workloads
-      $ models $ chaos $ snapshots $ seeds $ max_steps $ only $ workers
+      $ models $ chaos $ snapshots $ seeds $ max_steps_arg $ only
+      $ workers_arg (Campaign.Pool.default_workers ())
       $ dry_run $ out $ baseline $ from_ $ latency_tolerance $ profile_arg
       $ prof_summary_arg)
   in

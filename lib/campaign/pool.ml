@@ -18,6 +18,15 @@ type snapshot_summary = {
   snap_online_violations : string list;
 }
 
+type run = State of Chaos.Runner.outcome | Mp of Chaos.Mp_run.outcome
+
+type execution = {
+  run : run;
+  verdict_ok : bool;
+  violations : string list;
+  recovery : Chaos.Recovery.report option;
+}
+
 type run_summary = {
   outcome : [ `Quiescent | `Max_steps ];
   steps : int;
@@ -356,9 +365,72 @@ let chaos_verdict ~(schedule : Chaos.Schedule.t)
 
 (* Post-burst probe wave size: enough traffic that the recovery oracle's
    once-and-only-once clause is never vacuous, small enough not to
-   reshape the workload. Zero when nothing ever fires. *)
-let aftermath_for (sc : Spec.scenario) =
-  if sc.Spec.chaos.Chaos.Schedule.bursts = [] then 0 else 4
+   reshape the workload. Both runners submit it only after the last
+   burst, so a burst-free run never sees it. *)
+let aftermath = 4
+
+(* channel_garbage mirrors the corruption axis on the mp side: forged
+   messages sitting in flight at start, scaled like the planted state
+   corruption (Prop. 4's budget is per destination, hence the 2n). *)
+let mp_channel_garbage (sc : Spec.scenario) ~n =
+  match sc.Spec.corruption with
+  | Spec.Pristine -> 0
+  | Spec.Random_point -> 10
+  | Spec.Adversarial -> 2 * n
+
+let execute ?obs ?prof ?on_cut ?channel_garbage (sc : Spec.scenario) =
+  (* Fresh, deterministic ghost ids per scenario, whatever the domain
+     ran before — the outcome must not depend on scheduling. *)
+  Ssmfp.Message.reset_ghost_counter ();
+  let schedule = sc.Spec.chaos in
+  let run =
+    match sc.Spec.model with
+    | Spec.State_model ->
+        (* Zero-burst schedules delegate to the plain runner inside
+           Chaos.Runner — byte-identical to Harness.Runner.run. *)
+        State
+          (Chaos.Runner.run ?obs ~aftermath ?prof ~schedule (Spec.materialize sc))
+    | Spec.Mp_model ->
+        let graph = sc.Spec.topology.Spec.graph in
+        let channel_garbage =
+          match channel_garbage with
+          | Some k -> k
+          | None -> mp_channel_garbage sc ~n:(Topology.Graph.n graph)
+        in
+        Mp
+          (Chaos.Mp_run.run
+             ~spec:(Spec.fault_spec sc.Spec.corruption ~seed:sc.Spec.seed)
+             ~channel_garbage ~seed:sc.Spec.seed
+             ~max_deliveries:sc.Spec.max_steps ~aftermath
+             ~snapshot_every:sc.Spec.snapshot ?on_cut ?prof ~schedule graph
+             (Spec.materialize_workload sc))
+  in
+  let verdict, report, snapshot =
+    match run with
+    | State o -> (o.Chaos.Runner.sp_verdict, o.Chaos.Runner.report, None)
+    | Mp o ->
+        (o.Chaos.Mp_run.verdict, o.Chaos.Mp_run.report, o.Chaos.Mp_run.snapshot)
+  in
+  let verdict_ok, violations, recovery =
+    chaos_verdict ~schedule ~verdict ~report
+  in
+  (* With the snapshot layer on, the scenario also vouches for the
+     in-band view: the cut-side verdict must agree with the omniscient
+     one, and the online cut oracle must stay silent. *)
+  let cut_violations =
+    match snapshot with
+    | None -> []
+    | Some s ->
+        (if s.Chaos.Mp_run.cut_agrees then []
+         else [ "cut-oracle verdict disagrees with the omniscient one" ])
+        @ s.Chaos.Mp_run.online_violations
+  in
+  {
+    run;
+    verdict_ok = verdict_ok && cut_violations = [];
+    violations = violations @ cut_violations;
+    recovery;
+  }
 
 let oracle_tallies oracle =
   ( Harness.Oracle.valid_generated oracle,
@@ -373,38 +445,6 @@ let oracle_tallies oracle =
        percentiles never depend on insertion history. *)
     List.sort compare (Harness.Oracle.latencies oracle),
     List.sort compare (Harness.Oracle.delays oracle) )
-
-let summary_of_chaos (o : Chaos.Runner.outcome) =
-  let r = o.Chaos.Runner.run in
-  let generated, delivered, duplicated, invalid, invalid_worst, latencies, delays
-      =
-    oracle_tallies r.Harness.Runner.oracle
-  in
-  let verdict_ok, violations, recovery =
-    chaos_verdict ~schedule:o.Chaos.Runner.schedule
-      ~verdict:o.Chaos.Runner.sp_verdict ~report:o.Chaos.Runner.report
-  in
-  {
-    outcome = r.Harness.Runner.outcome;
-    steps = r.Harness.Runner.stats.Sim.Engine.steps;
-    rounds = r.Harness.Runner.stats.Sim.Engine.rounds;
-    moves = r.Harness.Runner.stats.Sim.Engine.moves;
-    valid_generated = generated;
-    valid_delivered = delivered;
-    duplicate_delivered = duplicated;
-    invalid_delivered = invalid;
-    invalid_worst_dest = invalid_worst;
-    invalid_planted = r.Harness.Runner.invalid_planted;
-    submitted = r.Harness.Runner.submitted + o.Chaos.Runner.aftermath_submitted;
-    routing_settled_round = r.Harness.Runner.routing_settled_round;
-    verdict_ok;
-    violations;
-    latencies;
-    delays;
-    recovery;
-    channel = None;
-    snapshot = None;
-  }
 
 let channel_summary (c : Mp.Ssmfp_mp.channel_stats) =
   {
@@ -428,98 +468,73 @@ let snapshot_summary (s : Chaos.Mp_run.snapshot_outcome) =
     snap_online_violations = s.Chaos.Mp_run.online_violations;
   }
 
-let summary_of_mp (o : Chaos.Mp_run.outcome) =
+let summary x =
+  let oracle, outcome, (steps, rounds, moves), planted, submitted, settled =
+    match x.run with
+    | State o ->
+        let r = o.Chaos.Runner.run in
+        let st = r.Harness.Runner.stats in
+        ( r.Harness.Runner.oracle,
+          r.Harness.Runner.outcome,
+          (st.Sim.Engine.steps, st.Sim.Engine.rounds, st.Sim.Engine.moves),
+          r.Harness.Runner.invalid_planted,
+          r.Harness.Runner.submitted + o.Chaos.Runner.aftermath_submitted,
+          r.Harness.Runner.routing_settled_round )
+    | Mp o ->
+        let d = o.Chaos.Mp_run.channel_deliveries in
+        ( o.Chaos.Mp_run.oracle,
+          (match o.Chaos.Mp_run.mp_outcome with
+          | `All_done -> `Quiescent
+          | `Max_deliveries -> `Max_steps),
+          (* steps and moves are channel deliveries here — the mp
+             model's unit of work; rounds are synchronizer pulses. *)
+          (d, o.Chaos.Mp_run.max_pulse, d),
+          o.Chaos.Mp_run.invalid_planted,
+          o.Chaos.Mp_run.submitted,
+          0 )
+  in
   let generated, delivered, duplicated, invalid, invalid_worst, latencies, delays
       =
-    oracle_tallies o.Chaos.Mp_run.oracle
+    oracle_tallies oracle
   in
-  let verdict_ok, violations, recovery =
-    chaos_verdict ~schedule:o.Chaos.Mp_run.schedule ~verdict:o.Chaos.Mp_run.verdict
-      ~report:o.Chaos.Mp_run.report
-  in
-  (* With the snapshot layer on, the scenario also vouches for the
-     in-band view: the cut-side verdict must agree with the omniscient
-     one, and the online cut oracle must stay silent. *)
-  let verdict_ok, violations =
-    match o.Chaos.Mp_run.snapshot with
-    | None -> (verdict_ok, violations)
-    | Some s ->
-        let extra =
-          (if s.Chaos.Mp_run.cut_agrees then []
-           else [ "cut-oracle verdict disagrees with the omniscient one" ])
-          @ s.Chaos.Mp_run.online_violations
-        in
-        (verdict_ok && extra = [], violations @ extra)
+  let channel, snapshot =
+    match x.run with
+    | State _ -> (None, None)
+    | Mp o ->
+        ( Some (channel_summary o.Chaos.Mp_run.channel),
+          Option.map snapshot_summary o.Chaos.Mp_run.snapshot )
   in
   {
-    outcome =
-      (match o.Chaos.Mp_run.mp_outcome with
-      | `All_done -> `Quiescent
-      | `Max_deliveries -> `Max_steps);
-    (* steps and moves are channel deliveries here — the mp model's unit
-       of work; rounds are synchronizer pulses. *)
-    steps = o.Chaos.Mp_run.channel_deliveries;
-    rounds = o.Chaos.Mp_run.max_pulse;
-    moves = o.Chaos.Mp_run.channel_deliveries;
+    outcome;
+    steps;
+    rounds;
+    moves;
     valid_generated = generated;
     valid_delivered = delivered;
     duplicate_delivered = duplicated;
     invalid_delivered = invalid;
     invalid_worst_dest = invalid_worst;
-    invalid_planted = o.Chaos.Mp_run.invalid_planted;
-    submitted = o.Chaos.Mp_run.submitted;
-    routing_settled_round = 0;
-    verdict_ok;
-    violations;
+    invalid_planted = planted;
+    submitted;
+    routing_settled_round = settled;
+    verdict_ok = x.verdict_ok;
+    violations = x.violations;
     latencies;
     delays;
-    recovery;
-    channel = Some (channel_summary o.Chaos.Mp_run.channel);
-    snapshot = Option.map snapshot_summary o.Chaos.Mp_run.snapshot;
+    recovery = x.recovery;
+    channel;
+    snapshot;
   }
 
 let graph_meta (sc : Spec.scenario) =
-  let g = sc.Spec.topology.Spec.graph in
-  ( Topology.Graph.n g,
-    Topology.Graph.max_degree g,
-    try Topology.Metrics.diameter g with _ -> 0 )
-
-(* channel_garbage mirrors the corruption axis on the mp side: forged
-   messages sitting in flight at start, scaled like the planted state
-   corruption (Prop. 4's budget is per destination, hence the 2n). *)
-let mp_channel_garbage (sc : Spec.scenario) ~n =
-  match sc.Spec.corruption with
-  | Spec.Pristine -> 0
-  | Spec.Random_point -> 10
-  | Spec.Adversarial -> 2 * n
-
-let run_scenario (sc : Spec.scenario) =
-  match sc.Spec.model with
-  | Spec.State_model ->
-      (* Zero-burst schedules delegate to the plain runner inside
-         Chaos.Runner — byte-identical to Harness.Runner.run. *)
-      summary_of_chaos
-        (Chaos.Runner.run ~aftermath:(aftermath_for sc) ~schedule:sc.Spec.chaos
-           (Spec.materialize sc))
-  | Spec.Mp_model ->
-      let n = Topology.Graph.n sc.Spec.topology.Spec.graph in
-      summary_of_mp
-        (Chaos.Mp_run.run
-           ~spec:(Spec.materialize_fault_spec sc)
-           ~channel_garbage:(mp_channel_garbage sc ~n) ~seed:sc.Spec.seed
-           ~aftermath:(aftermath_for sc) ~snapshot_every:sc.Spec.snapshot
-           ~schedule:sc.Spec.chaos sc.Spec.topology.Spec.graph
-           (Spec.materialize_workload sc))
+  Chaos.Runner.graph_meta sc.Spec.topology.Spec.graph
 
 let run_one sc =
   let t0 = Unix.gettimeofday () in
   let n, delta, diameter = graph_meta sc in
   let status =
-    (* Fresh, deterministic ghost ids per scenario, whatever the worker
-       ran before — the artifact must not depend on scheduling. *)
-    Ssmfp.Message.reset_ghost_counter ();
     Printexc.record_backtrace true;
-    match run_scenario sc with
+    match summary (execute sc) with
     | s -> Done s
     | exception e ->
         let raw = Printexc.get_raw_backtrace () in

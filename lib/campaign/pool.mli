@@ -34,6 +34,20 @@ type snapshot_summary = {
 (** The in-band Chandy–Lamport layer's outcome ({!Chaos.Mp_run}), present
     exactly when the scenario's [snapshot] interval is nonzero. *)
 
+type run =
+  | State of Chaos.Runner.outcome
+  | Mp of Chaos.Mp_run.outcome  (** the raw outcome of the model's runner *)
+
+type execution = {
+  run : run;
+  verdict_ok : bool;
+      (** {!chaos_verdict}, and with snapshots on, also the cut oracle:
+          the cut-side verdict agrees with the omniscient one and no
+          online cut-oracle flag was raised *)
+  violations : string list;
+  recovery : Chaos.Recovery.report option;  (** as in {!chaos_verdict} *)
+}
+
 type run_summary = {
   outcome : [ `Quiescent | `Max_steps ];
       (** mp scenarios map [`All_done] to [`Quiescent] and delivery-budget
@@ -102,6 +116,38 @@ val chaos_verdict :
     whole-run verdict and the recovery report; bursts hand the verdict to
     the recovery report (the whole-run check may legitimately fail once
     faults destroy in-flight valid messages). *)
+
+val aftermath : int
+(** Fresh probe requests both runners submit right after the last burst
+    (4), so the recovery oracle's post-burst exactly-once clause always
+    has traffic. Burst-free runs never submit them. *)
+
+val execute :
+  ?obs:Obs.Sink.t ->
+  ?prof:Obs.Prof.t ->
+  ?on_cut:(Snapshot.Ssmfp_link.cut -> unit) ->
+  ?channel_garbage:int ->
+  Spec.scenario ->
+  execution
+(** Run one scenario on the calling domain — the single execution path
+    of the campaign pool and of [ssmfp_cli run], [chaos] and
+    [snapshot]. Resets the domain's ghost-id counter, materializes the
+    scenario ({!Spec.materialize}) and dispatches on its model: state
+    scenarios run through {!Chaos.Runner} (burst-free schedules take the
+    plain [Harness.Runner] code path untouched), mp scenarios through
+    {!Chaos.Mp_run} with the scenario's [max_steps] as per-segment
+    delivery budget. Both get the {!aftermath} wave.
+
+    [?obs] reaches the state runner, [?on_cut] the mp runner, [?prof]
+    both. [?channel_garbage] is the count of forged messages pre-loaded
+    into the mp channels; by default it is scaled from the corruption
+    axis (pristine 0, random 10, adversarial [2n]). *)
+
+val summary : execution -> run_summary
+(** The artifact view of an execution: oracle tallies with sorted
+    latency and delay lists, and the model's own units ([steps] and
+    [moves] are channel deliveries and [rounds] are pulses on mp
+    scenarios). *)
 
 val default_workers : unit -> int
 (** [Domain.recommended_domain_count], clamped to [1..8]. *)
@@ -179,12 +225,8 @@ val run_list :
     domain's cursor. Profiling never affects results or their order. *)
 
 val run_one : Spec.scenario -> outcome
-(** Execute one scenario on the calling domain (resets the domain's
-    ghost-id counter first). Dispatches on the scenario's model: state
-    scenarios run through {!Chaos.Runner} (burst-free schedules delegate
-    to the plain [Harness.Runner] code path untouched), mp scenarios
-    through {!Chaos.Mp_run} with channel garbage scaled from the
-    corruption axis (pristine 0, random 10, adversarial [2n]). *)
+(** [summary (execute sc)] with the graph metadata and wall clock; an
+    exception escaping the run becomes a {!Crashed} status. *)
 
 val run :
   ?workers:int ->

@@ -142,6 +142,15 @@ let seeds_of_string s =
   | Ok [] -> Error "empty seed list"
   | Ok l -> Ok (List.rev l)
 
+let snapshot_of_string s =
+  match int_of_string_opt (String.trim s) with
+  | Some v when v >= 0 -> Ok v
+  | _ ->
+      Error
+        (Printf.sprintf
+           "bad snapshot interval %S (expected a non-negative delivery count)"
+           s)
+
 type grid = {
   topologies : topology list;
   corruptions : corruption list;
@@ -217,13 +226,30 @@ type scenario = {
 
 (* The /snapN segment only appears when the layer is on, so every
    pre-snapshot scenario id survives the axis addition unchanged. *)
-let scenario_id t c d w m ch sn s =
-  Printf.sprintf "%s/%s/%s/%s/%s/%s%s/s%d" t.t_name (corruption_to_string c)
-    (Harness.Runner.daemon_kind_to_string d)
-    (workload_to_string w) (model_to_string m)
-    (Chaos.Schedule.to_string ch)
-    (if sn > 0 then Printf.sprintf "/snap%d" sn else "")
-    s
+let make_scenario ~topology ~corruption ~daemon ~workload ~model ~chaos
+    ~snapshot ~seed ~max_steps =
+  let id =
+    Printf.sprintf "%s/%s/%s/%s/%s/%s%s/s%d" topology.t_name
+      (corruption_to_string corruption)
+      (Harness.Runner.daemon_kind_to_string daemon)
+      (workload_to_string workload) (model_to_string model)
+      (Chaos.Schedule.to_string chaos)
+      (if snapshot > 0 then Printf.sprintf "/snap%d" snapshot else "")
+      seed
+  in
+  {
+    index = 0;
+    id;
+    topology;
+    corruption;
+    daemon;
+    workload;
+    model;
+    chaos;
+    snapshot;
+    seed;
+    max_steps;
+  }
 
 let chaos_filter sc =
   (* The mp synchronizer has no daemon; keep one daemon spelling per mp
@@ -257,19 +283,10 @@ let expand ?(filter = fun _ -> true) (grid : grid) =
                               List.iter
                                 (fun s ->
                                   let sc =
-                                    {
-                                      index = 0;
-                                      id = scenario_id t c d w m ch sn s;
-                                      topology = t;
-                                      corruption = c;
-                                      daemon = d;
-                                      workload = w;
-                                      model = m;
-                                      chaos = ch;
-                                      snapshot = sn;
-                                      seed = s;
-                                      max_steps = grid.max_steps;
-                                    }
+                                    make_scenario ~topology:t ~corruption:c
+                                      ~daemon:d ~workload:w ~model:m ~chaos:ch
+                                      ~snapshot:sn ~seed:s
+                                      ~max_steps:grid.max_steps
                                   in
                                   if filter sc then acc := sc :: !acc)
                                 grid.seeds)
@@ -293,8 +310,8 @@ let expand ?(filter = fun _ -> true) (grid : grid) =
   | None -> ());
   scenarios
 
-(* Same derivations as `ssmfp_cli run`, so a scenario and the equivalent
-   single run agree bit-for-bit. *)
+(* `ssmfp_cli` builds its runs as scenarios too, so a CLI run and the
+   equivalent campaign scenario share these derivations bit-for-bit. *)
 let materialize_workload sc =
   let graph = sc.topology.graph in
   let n = Topology.Graph.n graph in
@@ -307,14 +324,16 @@ let materialize_workload sc =
   | Neighbors k -> Harness.Workload.neighbors_only graph ~per_processor:k
   | Saturating k -> Harness.Workload.saturating wl_rng ~graph ~per_processor:k
 
-let materialize_fault_spec sc =
-  match sc.corruption with
+let fault_spec corruption ~seed =
+  match corruption with
   | Pristine -> Harness.Fault.pristine
   | Adversarial -> Harness.Fault.adversarial
   | Random_point ->
-      Harness.Fault.random_spec (Prng.Splitmix.of_int (sc.seed + 104729))
+      Harness.Fault.random_spec (Prng.Splitmix.of_int (seed + 104729))
 
 let materialize sc =
-  Harness.Runner.config ~spec:(materialize_fault_spec sc) ~daemon:sc.daemon
+  Harness.Runner.config
+    ~spec:(fault_spec sc.corruption ~seed:sc.seed)
+    ~daemon:sc.daemon
     ~seed:sc.seed ~max_steps:sc.max_steps sc.topology.graph
     (materialize_workload sc)

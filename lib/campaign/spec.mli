@@ -68,6 +68,10 @@ val seeds_of_string : string -> (int list, string) result
 (** Comma-separated seeds and inclusive ranges: ["1,2,5"], ["1..8"],
     ["1..3,7"]. *)
 
+val snapshot_of_string : string -> (int, string) result
+(** A snapshot interval in channel deliveries: a non-negative integer,
+    [0] meaning snapshot-off. *)
+
 type grid = {
   topologies : topology list;
   corruptions : corruption list;
@@ -120,6 +124,21 @@ type scenario = {
   max_steps : int;
 }
 
+val make_scenario :
+  topology:topology ->
+  corruption:corruption ->
+  daemon:Harness.Runner.daemon_kind ->
+  workload:workload_kind ->
+  model:model ->
+  chaos:Chaos.Schedule.t ->
+  snapshot:int ->
+  seed:int ->
+  max_steps:int ->
+  scenario
+(** One scenario with its canonical [id] and [index = 0] — how
+    {!expand} builds each grid point, and how [ssmfp_cli] builds its
+    single runs. *)
+
 val chaos_filter : scenario -> bool
 (** Keeps every state-model scenario (snapshot-off spelling only — the
     layer is mp-specific) and only the synchronous-daemon spelling of
@@ -136,13 +155,15 @@ val expand : ?filter:(scenario -> bool) -> grid -> scenario list
 
 val materialize : scenario -> Harness.Runner.config
 (** The runner configuration of a scenario. Deterministic: the workload
-    stream is seeded with [seed + 7919] (the same convention as
-    [ssmfp_cli run]) and a [Random_point] corruption spec with a further
-    seed-derived stream, so two calls — on any domain — build identical
-    configurations. *)
+    stream is seeded with [seed + 7919] and the corruption spec comes
+    from {!fault_spec}, so two calls — on any domain — build identical
+    configurations. [ssmfp_cli run], [chaos] and [snapshot] build their
+    runs as scenarios, so a CLI run and the same campaign scenario
+    agree bit-for-bit. *)
 
 val materialize_workload : scenario -> Harness.Workload.t
 (** Just the workload of {!materialize} (the mp path needs it bare). *)
 
-val materialize_fault_spec : scenario -> Harness.Fault.spec
-(** Just the corruption spec of {!materialize}. *)
+val fault_spec : corruption -> seed:int -> Harness.Fault.spec
+(** The corruption spec of {!materialize}; a [Random_point] draws from
+    a stream seeded with [seed + 104729]. *)

@@ -71,18 +71,13 @@ val run :
   ?snapshot_every:int ->
   ?on_cut:(Snapshot.Ssmfp_link.cut -> unit) ->
   ?prof:Obs.Prof.t ->
-  ?window:int ->
-  ?synchrony:Mp.Synchrony.t ->
-  ?rto:int ->
   schedule:Schedule.t ->
   Topology.Graph.t ->
   Harness.Workload.t ->
   outcome
-(** [?window], [?synchrony] and [?rto] select the mp retransmission
-    layer and channel timing model ({!Mp.Ssmfp_mp.create}); [window] and
-    [synchrony] default to the schedule's own [@win=]/[@ps=] modifiers
-    (an explicit argument overrides the schedule — the CLI flags ride
-    here), [rto] to the derived default.
+(** The schedule's [@win=] and [@ps=] modifiers select the mp
+    retransmission layer and channel timing model
+    ({!Mp.Ssmfp_mp.create}).
 
     [max_deliveries] (default 2_000_000) is a per-segment budget: each
     burst segment and the final drain get the full budget, so a run is

@@ -22,6 +22,9 @@ type outcome = {
   schedule : Schedule.t;
 }
 
+val graph_meta : Topology.Graph.t -> int * int * int
+(** [(n, Δ, D)] of a graph, the diameter [0] when it is undefined. *)
+
 val run :
   ?obs:Obs.Sink.t ->
   ?aftermath:int ->
