@@ -117,11 +117,6 @@ val chaos_verdict :
     the recovery report (the whole-run check may legitimately fail once
     faults destroy in-flight valid messages). *)
 
-val aftermath : int
-(** Fresh probe requests both runners submit right after the last burst
-    (4), so the recovery oracle's post-burst exactly-once clause always
-    has traffic. Burst-free runs never submit them. *)
-
 val execute :
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Prof.t ->
@@ -136,7 +131,9 @@ val execute :
     scenarios run through {!Chaos.Runner} (burst-free schedules take the
     plain [Harness.Runner] code path untouched), mp scenarios through
     {!Chaos.Mp_run} with the scenario's [max_steps] as per-segment
-    delivery budget. Both get the {!aftermath} wave.
+    delivery budget. Both submit 4 fresh requests right after the last
+    burst, so the recovery oracle's post-burst exactly-once clause
+    always has traffic.
 
     [?obs] reaches the state runner, [?on_cut] the mp runner, [?prof]
     both. [?channel_garbage] is the count of forged messages pre-loaded
