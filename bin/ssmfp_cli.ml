@@ -128,7 +128,7 @@ let scenario_term ~corruption ~daemon ~model ~schedule ~snapshot =
       ~max_steps:(Option.value max_steps ~default:2_000_000)
   in
   Term.(
-    const make $ topology_arg $ corruption_arg corruption $ daemon_arg daemon
+    const make $ topology_arg $ corruption_arg corruption $ daemon
     $ workload_arg $ model $ schedule $ snapshot $ seed_arg $ max_steps_arg)
 
 (* ---------------- artifacts and printers ---------------- *)
@@ -424,7 +424,7 @@ let run_cmd =
   in
   let scenario =
     scenario_term ~corruption:Spec.Adversarial
-      ~daemon:Harness.Runner.Distributed_random
+      ~daemon:(daemon_arg Harness.Runner.Distributed_random)
       ~model:(Term.const Spec.State_model)
       ~schedule:(Term.const Chaos.Schedule.none) ~snapshot:(Term.const 0)
   in
@@ -935,7 +935,7 @@ let chaos_cmd =
   in
   let scenario =
     scenario_term ~corruption:Spec.Adversarial
-      ~daemon:Harness.Runner.Synchronous ~model:model_arg
+      ~daemon:(daemon_arg Harness.Runner.Synchronous) ~model:model_arg
       ~schedule:(schedule_arg (Spec.chaos_exn "10:rbqf:all"))
       ~snapshot:snapshot_every
   in
@@ -1066,7 +1066,8 @@ let snapshot_cmd =
           else 1
   in
   let scenario =
-    scenario_term ~corruption:Spec.Pristine ~daemon:Harness.Runner.Synchronous
+    scenario_term ~corruption:Spec.Pristine
+      ~daemon:(Term.const Harness.Runner.Synchronous)
       ~model:(Term.const Spec.Mp_model)
       ~schedule:(schedule_arg Chaos.Schedule.none) ~snapshot:every
   in

@@ -526,12 +526,11 @@ let summary x =
     snapshot;
   }
 
-let graph_meta (sc : Spec.scenario) =
-  Chaos.Runner.graph_meta sc.Spec.topology.Spec.graph
-
 let run_one sc =
   let t0 = Unix.gettimeofday () in
-  let n, delta, diameter = graph_meta sc in
+  let n, delta, diameter =
+    Chaos.Runner.graph_meta sc.Spec.topology.Spec.graph
+  in
   let status =
     Printexc.record_backtrace true;
     match summary (execute sc) with
@@ -592,7 +591,10 @@ let run ?workers ?prof ?metrics scenarios =
       | Error msg ->
           (* run_one already catches runner exceptions; this branch
              only fires if scenario metadata itself blew up. *)
-          let n, delta, diameter = try graph_meta sc with _ -> (0, 0, 0) in
+          let n, delta, diameter =
+            try Chaos.Runner.graph_meta sc.Spec.topology.Spec.graph
+            with _ -> (0, 0, 0)
+          in
           {
             scenario = sc;
             n;

@@ -158,8 +158,10 @@ val materialize : scenario -> Harness.Runner.config
     stream is seeded with [seed + 7919] and the corruption spec comes
     from {!fault_spec}, so two calls — on any domain — build identical
     configurations. [ssmfp_cli run], [chaos] and [snapshot] build their
-    runs as scenarios, so a CLI run and the same campaign scenario
-    agree bit-for-bit. *)
+    runs as scenarios, so in the state model a CLI run and the same
+    campaign scenario agree bit-for-bit. In the mp model they agree only
+    when the CLI's [--channel-garbage] count (default 0; [snapshot]
+    always 0) equals the campaign's corruption-derived one. *)
 
 val materialize_workload : scenario -> Harness.Workload.t
 (** Just the workload of {!materialize} (the mp path needs it bare). *)
