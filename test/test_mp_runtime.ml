@@ -643,14 +643,17 @@ let render_core buf n (st : Ssmfp.State.t) =
   Printf.bprintf buf "rr=%d;req=%b;out=" st.rr st.request;
   List.iter (fun (d, info) -> Printf.bprintf buf "%d:%S," d info) st.outbox
 
-let fingerprint t g =
+let render_run buf t g =
   let n = Topology.Graph.n g in
-  let buf = Buffer.create 256 in
   for p = 0 to n - 1 do
     Printf.bprintf buf "p%d{" p;
     render_core buf n (Mp.Ssmfp_mp.core t p);
     Printf.bprintf buf "}pulse=%d\n" (Mp.Ssmfp_mp.pulse_of t p)
-  done;
+  done
+
+let fingerprint t g =
+  let buf = Buffer.create 256 in
+  render_run buf t g;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let pin ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(loss = 0.)
@@ -705,6 +708,41 @@ let test_pin_fig2_flaky () =
     ~deliveries:1987 ~max_pulse:281 ~lost:811 ~dup:253 ~reord:127
     ~fp:"affff3156767e683a155dfc0bb86dd3f" "fig2-flaky"
     (Topology.Builders.paper_figure2)
+
+(* The windowed counterpart of the pins above, shaped like the mp-lossy
+   benchmark workload (adversarial cores, lossy channels, window 8,
+   garbage frames in flight) at ring:8. Its digest also covers the
+   channel counters and the window layer's retransmissions, so any
+   change to what the barriers decide, publish or resend trips it. *)
+let test_pin_ring8_window_lossy () =
+  let g = Topology.Builders.ring 8 in
+  let seed = 17 in
+  let n = Topology.Graph.n g in
+  let rng = Prng.Splitmix.of_int ((seed * 1000) + 7) in
+  let wl = Harness.Workload.uniform_random rng ~n ~per_processor:2 in
+  let t =
+    Mp.Ssmfp_mp.create ~spec:Harness.Fault.adversarial ~channel_garbage:12
+      ~loss:0.15 ~duplication:0.05 ~reorder:0.10 ~window:8 ~seed g wl
+  in
+  let r = Mp.Ssmfp_mp.run t in
+  let st = Mp.Ssmfp_mp.channel_stats t in
+  let label = "ring8-window-lossy" in
+  let chk name = Alcotest.(check int) (label ^ ": " ^ name) in
+  Alcotest.(check bool) (label ^ ": done") true
+    (r.Mp.Ssmfp_mp.outcome = `All_done);
+  Alcotest.(check bool) (label ^ ": SP verdict") true
+    r.Mp.Ssmfp_mp.verdict.Harness.Oracle.ok;
+  chk "deliveries" 14643 r.Mp.Ssmfp_mp.channel_deliveries;
+  chk "max pulse" 383 r.Mp.Ssmfp_mp.max_pulse;
+  let buf = Buffer.create 256 in
+  render_run buf t g;
+  Printf.bprintf buf "delivered=%d;lost=%d;dup=%d;reord=%d;down=%d;retrans=%d"
+    st.Mp.Ssmfp_mp.delivered st.lost st.duplicated st.reordered
+    st.dropped_while_down (Mp.Ssmfp_mp.window_retransmits t);
+  Alcotest.(check string)
+    (label ^ ": trajectory digest")
+    "4025bfa2b2f7d2fd91990456ee0b1389"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let chaos_pin ~schedule ~seed ?(aftermath = 0) ?(channel_garbage = 0)
     ?(snapshot_every = 0) ~per_processor ~deliveries ~max_pulse ~fired
@@ -968,6 +1006,8 @@ let () =
           Alcotest.test_case "chaos zero-fault" `Quick test_pin_chaos_zerofault;
           Alcotest.test_case "chaos crash" `Quick test_pin_chaos_crash;
           Alcotest.test_case "chaos snapshot" `Quick test_pin_chaos_snapshot;
+          Alcotest.test_case "ring8 window lossy" `Quick
+            test_pin_ring8_window_lossy;
         ] );
       ( "window mode",
         [
