@@ -578,6 +578,75 @@ let run_b3 () =
    (reliable + flaky) reporting stamp/hop ring overwrites under
    saturation. The relay consumes no PRNG draws in handlers, so both
    runtimes replay the same scheduler stream. *)
+(* B4's SSMFP leg: how the cost of real SSMFP over [Mp.Ssmfp_mp] grows
+   with n (the legs above relay a dummy token). Windowed (w = 8) lossy
+   runs from adversarial cores with garbage frames in flight, the
+   mp-lossy benchmark shape, at ring:32, ring:128 and ring:512, each
+   driven for the same step budget. Only the drive is timed: [create]
+   pays O(n^2) fault and routing set-up once. Per size the best of 5
+   reps gives microseconds per channel delivery; the gate is on the
+   least-squares slope of log(us/delivery) against log(n). On a shared
+   2-core x86-64 box, barriers that rebuilt n-element views per publish
+   and per barrier measured slopes 0.81-1.03 (ring:512 at 18-30 us per
+   delivery); the O(Delta) barrier measures 0.52-0.60 (3.8-4.9 us). The
+   gate sits between the two. What still grows with n is the barrier's
+   O(n) routing scan and slot-array copy. *)
+let ssmfp_scaling_slope_gate = 0.75
+
+let ssmfp_scaling_leg () =
+  let sizes = [ 32; 128; 512 ] and budget = 60_000 and reps = 5 in
+  let knobs = Chaos.Schedule.channel_knobs Chaos.Schedule.Lossy in
+  let us_per_delivery n =
+    let g = Topology.Builders.ring n in
+    let one rep =
+      let seed = 90 + rep in
+      let wl =
+        Harness.Workload.uniform_random (Prng.Splitmix.of_int seed) ~n
+          ~per_processor:2
+      in
+      let t =
+        Mp.Ssmfp_mp.create ~spec:Harness.Fault.adversarial ~channel_garbage:n
+          ~loss:knobs.Chaos.Schedule.loss
+          ~duplication:knobs.Chaos.Schedule.duplication
+          ~reorder:knobs.Chaos.Schedule.reorder ~window:8 ~seed g wl
+      in
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      ignore (Mp.Ssmfp_mp.drive ~max_deliveries:budget t);
+      let dt = Unix.gettimeofday () -. t0 in
+      1e6 *. dt /. float_of_int (max 1 (Mp.Ssmfp_mp.channel_deliveries t))
+    in
+    List.fold_left min infinity (List.init reps one)
+  in
+  let points = List.map (fun n -> (n, us_per_delivery n)) sizes in
+  (* least squares over (log n, log us) *)
+  let xs = List.map (fun (n, _) -> log (float_of_int n)) points in
+  let ys = List.map (fun (_, us) -> log us) points in
+  let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
+  let mx = mean xs and my = mean ys in
+  let sxy = List.fold_left2 (fun a x y -> a +. ((x -. mx) *. (y -. my))) 0. xs ys in
+  let sxx = List.fold_left (fun a x -> a +. ((x -. mx) ** 2.)) 0. xs in
+  let slope = sxy /. sxx in
+  let notes =
+    List.map
+      (fun (n, us) ->
+        Printf.sprintf "ring:%d: %.2f us per channel delivery (best of %d, %d steps)"
+          n us reps budget)
+      points
+    @ [
+        Printf.sprintf "log-log slope %.2f (gate <= %.2f)" slope
+          ssmfp_scaling_slope_gate;
+      ]
+  in
+  List.iter Harness.Report.note notes;
+  {
+    id = "b4-ssmfp-scaling";
+    title = "B4: SSMFP over mp, cost per channel delivery vs n (windowed lossy rings)";
+    seconds = 0.;
+    ok = slope <= ssmfp_scaling_slope_gate;
+    notes;
+  }
+
 let run_b4 () =
   Harness.Report.section
     "B4: mp runtime throughput/latency, ring-buffer loop vs legacy (token relay)";
@@ -843,6 +912,7 @@ let run_b4 () =
       ok = true;
       notes = ten_notes;
     };
+  push (ssmfp_scaling_leg ());
   !timings
 
 (* B5: the in-band snapshot layer at 1k nodes. Two legs on the same

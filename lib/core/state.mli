@@ -30,6 +30,12 @@ type slots
     value comes from {!init_slots}, {!with_slot} or {!map_slots}, which
     keep the bitset equal to a recount of the slots. *)
 
+(** Both [routing] and [slots] are immutable once built: every update
+    ({!with_slot}, {!map_slots}, {!with_routing}, [Routing.Selfstab.apply])
+    builds a fresh array and nothing writes into an existing one. States
+    share them freely, and the message-passing port depends on it: a
+    published snapshot ([Mp.Ssmfp_mp.public_of]) is the sender's routing
+    array and slots themselves, not a copy. *)
 type t = {
   routing : Routing.Selfstab.state;
   slots : slots;

@@ -30,19 +30,52 @@
 
 type public = {
   pub_routing : Routing.Selfstab.state;
-  pub_bufs : (Ssmfp.Message.t option * Ssmfp.Message.t option) array;
-      (** (bufR, bufE) per destination *)
+  pub_slots : Ssmfp.State.slots;
+      (** (bufR, bufE) per destination, with the occupancy bitset and the
+          sender's fairness queues *)
 }
+(** A pulse snapshot: the sender's routing table and slots, shared with
+    its core rather than copied. Both are immutable once built
+    ({!Ssmfp.State}), so publishing is O(1) and a snapshot in flight
+    never sees the sender's later moves. *)
 
 type payload = Snapshot of int * public  (** (pulse, readable state) *)
 
 val public_of : Ssmfp.State.t -> public
-(** The part of a core its neighbors read: routing table and buffers. *)
+(** The part of a core its neighbors read: routing table and slots.
+    O(1): the fields are shared, not copied. *)
 
-val state_of_public : int -> public -> Ssmfp.State.t
-(** [state_of_public q pub] is the core a guard at a neighbor of [q]
-    reads for [q]: [pub]'s routing and buffers, placeholders for the
-    fields no neighbor reads (queue, rr, request, outbox). *)
+val state_of_public : public -> Ssmfp.State.t
+(** The mirror a guard at a neighbor of the sender reads: [pub]'s
+    routing and slots (shared), placeholders for the fields no neighbor
+    reads (rr, request, outbox). The slots carry the sender's fairness
+    queues, which no guard reads either. O(1). *)
+
+(** {2 The barrier step}
+
+    A barrier at [p] evaluates SSMFP's guards on [p]'s core and one
+    mirror per neighbor and executes the highest-priority enabled
+    action, as the synchronous daemon of the state model would. *)
+
+type barrier
+(** One instance's barrier evaluator: a persistent configuration and the
+    protocol over it. A barrier writes only [p]'s entry and its [Δ]
+    mirrors, then restores them, so a step costs O(Δ) on top of the
+    guards themselves. Not reentrant. *)
+
+val barrier : Topology.Graph.t -> barrier
+
+val barrier_step :
+  barrier ->
+  self:int ->
+  Ssmfp.State.t ->
+  Ssmfp.State.t array ->
+  (Ssmfp.Protocol.action * Ssmfp.State.t * Ssmfp.Protocol.event list) option
+(** [barrier_step b ~self core mirrors]: the action the guards pick at
+    [self], its next core and its events, or [None] when nothing is
+    enabled. [mirrors.(i)] is the mirror of the [i]-th neighbor of
+    [self] in ascending id order. Pure: [b] is left as it was found.
+    @raise Invalid_argument unless there is one mirror per neighbor. *)
 
 type t
 

@@ -35,11 +35,11 @@ let encode_payload c (Mp.Ssmfp_mp.Snapshot (k, pub)) =
       Codec.add_int c e.Routing.Selfstab.dist;
       Codec.add_int c e.Routing.Selfstab.via)
     pub.Mp.Ssmfp_mp.pub_routing;
-  Array.iter
-    (fun (r, e) ->
-      Codec.add_msg c r;
-      Codec.add_msg c e)
-    pub.Mp.Ssmfp_mp.pub_bufs
+  Ssmfp.State.iter_slots
+    (fun (sl : Ssmfp.State.slot) ->
+      Codec.add_msg c sl.Ssmfp.State.buf_r;
+      Codec.add_msg c sl.Ssmfp.State.buf_e)
+    (Mp.Ssmfp_mp.state_of_public pub)
 
 let attach ?prof ?resend_patience ~seed sys =
   let g = Mp.Ssmfp_mp.graph sys in

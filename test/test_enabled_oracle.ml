@@ -216,7 +216,7 @@ let check_bitset s =
   in
   let exact st =
     bitset_exact st
-    && bitset_exact (Mp.Ssmfp_mp.state_of_public 0 (Mp.Ssmfp_mp.public_of st))
+    && bitset_exact (Mp.Ssmfp_mp.state_of_public (Mp.Ssmfp_mp.public_of st))
   in
   let all_exact states = Array.for_all exact states in
   let from_fault = all_exact states in

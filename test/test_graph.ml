@@ -169,6 +169,23 @@ let prop_random_connected =
       let g = Topology.Builders.random_connected rng ~n ~extra_edges:extra in
       Topology.Graph.is_connected g && Topology.Graph.n g = n)
 
+(* [is_edge] against the edge list, for every pair including ids just
+   outside the vertex range. *)
+let prop_is_edge_matches_edges =
+  QCheck.Test.make ~name:"is_edge = membership in the edge list" ~count:200
+    graph_gen (fun (n, extra, seed) ->
+      let rng = Prng.Splitmix.of_int seed in
+      let g = Topology.Builders.random_connected rng ~n ~extra_edges:extra in
+      let edges = Topology.Graph.edges g in
+      let ok = ref true in
+      for u = -2 to n + 1 do
+        for v = -2 to n + 1 do
+          let expected = List.mem (min u v, max u v) edges in
+          if Topology.Graph.is_edge g u v <> expected then ok := false
+        done
+      done;
+      !ok)
+
 let prop_random_tree_edges =
   QCheck.Test.make ~name:"random_tree has n-1 edges" ~count:200
     QCheck.(pair (int_range 1 50) (int_range 0 10_000))
@@ -247,6 +264,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_random_connected;
+            prop_is_edge_matches_edges;
             prop_random_tree_edges;
             prop_triangle_inequality;
             prop_tree_next_hop_decreases;
